@@ -279,6 +279,11 @@ impl ClaimResult {
     }
 
     fn to_json(&self) -> String {
+        let json_escape = |s: &str| {
+            let mut out = String::with_capacity(s.len());
+            mks_trace::json::escape(s, &mut out);
+            out
+        };
         format!(
             "{{\"id\":\"{}\",\"experiment\":\"{}\",\"paper_quote\":\"{}\",\
              \"shape\":{{\"kind\":\"{}\",{}}},\"measured\":{},\
@@ -307,23 +312,6 @@ fn json_num(x: f64) -> String {
     } else {
         format!("{x}")
     }
-}
-
-/// Escapes a string for embedding in a JSON document.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Verdict totals over a claim set.

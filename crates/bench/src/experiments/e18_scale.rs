@@ -68,15 +68,6 @@ pub struct Measurement {
     pub audit_parity: bool,
 }
 
-/// Sweep-seed count: `MKS_SWEEP_SEEDS` bounds wall time in CI.
-fn sweep_seed_count() -> u64 {
-    std::env::var("MKS_SWEEP_SEEDS")
-        .ok()
-        .and_then(|s| s.trim().parse().ok())
-        .unwrap_or(SWEEP_SEEDS_DEFAULT)
-        .max(1)
-}
-
 /// Runs the rung ladder, the seed sweep, and the audit-batch parity
 /// check.
 pub fn measure() -> Measurement {
@@ -91,7 +82,7 @@ pub fn measure() -> Measurement {
             run_rung(pop, 0xE18, ops)
         })
         .collect();
-    let sweep_seeds = sweep_seed_count();
+    let sweep_seeds = mks_hw::sweep_seeds_from_env(SWEEP_SEEDS_DEFAULT);
     let mut sweep_mismatches = 0u64;
     for seed in 1..=sweep_seeds {
         let m = run_rung(SWEEP_POPULATION, seed, SWEEP_OPS);

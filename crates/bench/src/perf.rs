@@ -48,7 +48,7 @@
 
 use std::time::Instant;
 
-use mks_hw::{CpuModel, Machine, SegNo};
+use mks_hw::{CpuModel, Machine, SegNo, SplitMix64};
 use mks_kernel::par::run_lanes;
 use mks_kernel::world::KProcId;
 use mks_kernel::{Commit, CommitLog, Monitor};
@@ -200,12 +200,9 @@ fn time_path<F: FnMut()>(iters: u64, rounds: u32, mut f: F) -> f64 {
     best
 }
 
-/// One splitmix-style scramble step for the calibration workload.
+/// One SplitMix64 scramble step for the calibration workload.
 fn calibration_step(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
+    SplitMix64::new(x).next_u64()
 }
 
 /// The memory-latency calibration workload: a dependent pointer-chase

@@ -16,17 +16,18 @@ use std::collections::HashMap;
 
 use mks_fs::UserId;
 use mks_mls::Label;
+use mks_trace::digest::{FNV_OFFSET, FNV_PRIME};
 
 /// Iterations of the password hash (slows guessing).
 const HASH_ROUNDS: usize = 1000;
 
 /// A 64-bit salted iterated hash of a password.
 fn password_hash(salt: u64, password: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325 ^ salt;
+    let mut h: u64 = FNV_OFFSET ^ salt;
     for _ in 0..HASH_ROUNDS {
         for b in password.bytes() {
             h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            h = h.wrapping_mul(FNV_PRIME);
         }
         h ^= h >> 33;
         h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);

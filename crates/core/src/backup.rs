@@ -19,6 +19,7 @@ use mks_hw::{RingBrackets, SegUid, Word, PAGE_WORDS};
 use mks_io::devices::tape::TapeDim;
 use mks_io::devices::{Device, DeviceOp, DeviceResult};
 use mks_mls::{Compartments, Label, Level};
+use mks_trace::Fnv64;
 use mks_vm::{mechanism, SegControl, VmWorld};
 
 /// Backup/restore failures.
@@ -206,12 +207,12 @@ fn dump_dir(
 /// hierarchy digests hold the same protected information under the
 /// same labels and ACLs, whatever uids and residency they use.
 pub fn hierarchy_digest(fs: &FileSystem, vm: &mut VmWorld, dir: SegUid) -> u64 {
-    let mut canon = String::new();
-    digest_dir(fs, vm, dir, "", &mut canon);
-    crate::statemachine::fnv64(canon.as_bytes())
+    let mut h = Fnv64::default();
+    digest_dir(fs, vm, dir, "", &mut h);
+    h.finish()
 }
 
-fn digest_dir(fs: &FileSystem, vm: &mut VmWorld, dir: SegUid, prefix: &str, out: &mut String) {
+fn digest_dir(fs: &FileSystem, vm: &mut VmWorld, dir: SegUid, prefix: &str, out: &mut Fnv64) {
     let mut names = fs.child_names(dir);
     names.sort();
     for name in names {
@@ -219,16 +220,17 @@ fn digest_dir(fs: &FileSystem, vm: &mut VmWorld, dir: SegUid, prefix: &str, out:
         let path = format!("{prefix}>{name}");
         match &branch.kind {
             BranchKind::Directory { .. } => {
-                out.push_str(&format!("D {path} {}\n", encode_label(&branch.label)));
+                writeln!(out, "D {path} {}", encode_label(&branch.label));
                 digest_dir(fs, vm, branch.uid, &path, out);
             }
             BranchKind::Segment { acl, len_words, .. } => {
-                out.push_str(&format!(
-                    "S {path} {} {} {}\n",
+                writeln!(
+                    out,
+                    "S {path} {} {} {}",
                     encode_label(&branch.label),
                     len_words,
                     encode_acl(acl)
-                ));
+                );
                 let uid = branch.uid;
                 SegControl::activate(vm, uid, (*len_words).max(PAGE_WORDS));
                 let pages = len_words.div_ceil(PAGE_WORDS);
@@ -244,7 +246,7 @@ fn digest_dir(fs: &FileSystem, vm: &mut VmWorld, dir: SegUid, prefix: &str, out:
                         }
                     }
                     if !cells.is_empty() {
-                        out.push_str(&format!("P {path} {p} {cells}\n"));
+                        writeln!(out, "P {path} {p} {cells}");
                     }
                 }
             }

@@ -19,6 +19,7 @@ pub mod bootstrap;
 pub mod image;
 
 use mks_hw::Cycles;
+use mks_trace::Fnv64;
 
 use crate::config::KernelConfig;
 
@@ -53,25 +54,15 @@ pub struct InitTrace {
 /// serialization), used for the determinism check: two loads of the same
 /// image must produce equal hashes.
 pub fn state_hash(s: &InitState) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |bytes: &[u8]| {
-        for b in bytes {
-            h ^= u64::from(*b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    eat(&s.gate_entries.to_be_bytes());
-    for d in &s.daemons {
-        eat(d.as_bytes());
-        eat(b"\0");
+    let mut h = Fnv64::default();
+    h.write(&s.gate_entries.to_be_bytes());
+    for name in s.daemons.iter().chain(&s.supervisor_segments) {
+        h.write(name.as_bytes());
+        h.write(b"\0");
     }
-    for seg in &s.supervisor_segments {
-        eat(seg.as_bytes());
-        eat(b"\0");
-    }
-    eat(&[u8::from(s.mls_on)]);
-    eat(&s.root_uid.to_be_bytes());
-    h
+    h.write(&[u8::from(s.mls_on)]);
+    h.write(&s.root_uid.to_be_bytes());
+    h.finish()
 }
 
 /// The target state for a configuration (what *any* correct start must

@@ -10,6 +10,7 @@
 //! so E11's determinism check is exact hash equality.
 
 use mks_hw::{Clock, Word};
+use mks_trace::Fnv64;
 
 use crate::config::KernelConfig;
 use crate::init::{state_hash, target_state, InitState, InitTrace};
@@ -44,12 +45,9 @@ impl core::fmt::Display for ImageError {
 impl std::error::Error for ImageError {}
 
 fn checksum(words: &[Word]) -> Word {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for w in words {
-        h ^= w.raw();
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    Word::new(h)
+    let mut h = Fnv64::default();
+    words.iter().for_each(|w| h.write_word(w.raw()));
+    Word::new(h.finish())
 }
 
 fn push_str(words: &mut Vec<Word>, s: &str) {

@@ -36,19 +36,17 @@ pub use link::{Link, LinkStats};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
 
-use mks_fs::{Acl, AclMode};
-use mks_hw::{Backoff, BackoffPolicy, InjectKind, InjectorHandle, RingBrackets, SplitMix64};
-use mks_mls::{Compartments, Label, Level};
+use mks_hw::{Backoff, BackoffPolicy, InjectKind, InjectorHandle};
 use mks_trace::ReplSnapshot;
 
 use crate::statemachine::restore;
 use crate::statemachine::wire::WireError;
+use crate::statemachine::workload::{recovery_tail, MixedWorkload};
 use crate::statemachine::{
     decode_snapshot, encode_snapshot, reduce, snapshot_at, Commit, CommitLog, Genesis,
     KernelStateMachine, Outcome, ReplayError,
 };
 use crate::syslog::AuditEvent;
-use crate::world::admin_user;
 
 /// Why a replication operation was refused or failed.
 #[derive(Clone, PartialEq, Debug)]
@@ -1329,145 +1327,16 @@ fn submit_retry(cluster: &mut Cluster, commit: &Commit, report: &mut DriveReport
 /// one cluster tick per operation and the recovery tail at the end.
 pub fn drive_mixed_workload(cluster: &mut Cluster, seed: u64, ops: u64) -> DriveReport {
     let mut report = DriveReport::default();
-    let admin = match submit_retry(
-        cluster,
-        &Commit::CreateProcess {
-            user: admin_user(),
-            label: Label::BOTTOM,
-            ring: 4,
-        },
-        &mut report,
-    ) {
-        Outcome::Pid(p) => p,
-        out => panic!("admin process creation returned {out:?}"),
-    };
-    let root = submit_retry(cluster, &Commit::BindRoot { pid: admin }, &mut report)
-        .seg()
-        .expect("root binds");
-    let stranger = match submit_retry(
-        cluster,
-        &Commit::CreateProcess {
-            user: mks_fs::UserId::new("Mallory", "Guest", "a"),
-            label: Label::BOTTOM,
-            ring: 4,
-        },
-        &mut report,
-    ) {
-        Outcome::Pid(p) => p,
-        out => panic!("stranger process creation returned {out:?}"),
-    };
-    let sroot = submit_retry(cluster, &Commit::BindRoot { pid: stranger }, &mut report)
-        .seg()
-        .expect("root binds");
-    let probe = submit_retry(
-        cluster,
-        &Commit::CreateSegment {
-            pid: admin,
-            dir: root,
-            name: "probe".into(),
-            acl: Acl::of("Admin.SysAdmin.a", AclMode::RW),
-            brackets: RingBrackets::new(4, 4, 4),
-            label: Label::BOTTOM,
-        },
-        &mut report,
-    )
-    .seg()
-    .expect("probe segment creates on a fresh system");
-    submit_retry(cluster, &Commit::Tick { times: 4 }, &mut report);
-
-    let mut rng = SplitMix64::new(seed ^ 0xd1f7_ac75_0bad_c0de);
-    let mut dirs = vec![root];
-    let secret = Label::new(Level::SECRET, Compartments::of(&[1]));
+    let mut mix = MixedWorkload::setup(seed, &mut |c| submit_retry(cluster, &c, &mut report));
     for i in 0..ops {
-        match rng.below(6) {
-            0 => {
-                let parent = dirs[rng.below(dirs.len() as u64) as usize];
-                let label = if rng.below(2) == 0 {
-                    Label::BOTTOM
-                } else {
-                    secret
-                };
-                if let Some(segno) = submit_retry(
-                    cluster,
-                    &Commit::CreateDirectory {
-                        pid: admin,
-                        dir: parent,
-                        name: format!("d{i}"),
-                        label,
-                    },
-                    &mut report,
-                )
-                .seg()
-                {
-                    dirs.push(segno);
-                }
-            }
-            1 => {
-                let parent = dirs[rng.below(dirs.len() as u64) as usize];
-                submit_retry(
-                    cluster,
-                    &Commit::CreateSegment {
-                        pid: admin,
-                        dir: parent,
-                        name: format!("s{i}"),
-                        acl: Acl::of("*.*.*", AclMode::RW),
-                        brackets: RingBrackets::new(4, 4, 4),
-                        label: secret,
-                    },
-                    &mut report,
-                );
-            }
-            2 => {
-                let offset = rng.below(64);
-                submit_retry(
-                    cluster,
-                    &Commit::Write {
-                        pid: admin,
-                        seg: probe,
-                        offset,
-                        value: i + 1,
-                    },
-                    &mut report,
-                );
-                submit_retry(
-                    cluster,
-                    &Commit::Read {
-                        pid: admin,
-                        seg: probe,
-                        offset,
-                    },
-                    &mut report,
-                );
-            }
-            3 => {
-                submit_retry(
-                    cluster,
-                    &Commit::Initiate {
-                        pid: stranger,
-                        dir: sroot,
-                        name: "probe".into(),
-                    },
-                    &mut report,
-                );
-            }
-            4 => {
-                submit_retry(cluster, &Commit::Wakeup { daemon: 0 }, &mut report);
-                submit_retry(cluster, &Commit::Tick { times: 1 }, &mut report);
-            }
-            _ => {
-                submit_retry(cluster, &Commit::Tick { times: 2 }, &mut report);
-            }
-        }
+        mix.step(i, &mut |c| submit_retry(cluster, &c, &mut report));
         cluster.tick();
     }
-    submit_retry(cluster, &Commit::Tick { times: 4 }, &mut report);
-    report.salvage_problems = match submit_retry(cluster, &Commit::Salvage, &mut report) {
-        Outcome::Value(n) => n,
-        _ => 0,
-    };
-    report.boot_divergence =
-        submit_retry(cluster, &Commit::BootCheck, &mut report) != Outcome::Value(0);
-    submit_retry(cluster, &Commit::MeteringGet { pid: admin }, &mut report);
+    let mut submit = |c| submit_retry(cluster, &c, &mut report);
+    submit(Commit::Tick { times: 4 });
+    let (salvage_problems, boot_divergence) = recovery_tail(mix.admin, &mut submit);
+    report.salvage_problems = salvage_problems;
+    report.boot_divergence = boot_divergence;
     report
 }
 

@@ -12,20 +12,11 @@
 use mks_fs::{Acl, AclMode, UserId};
 use mks_hw::{FaultPlan, RingBrackets, RingNo, SegNo};
 use mks_mls::Label;
+pub use mks_trace::fnv64;
+use mks_trace::Fnv64;
 
 use crate::syslog::AuditEvent;
 use crate::world::KProcId;
-
-/// FNV-1a over a byte string — the repo's standard content digest
-/// (same constants as the boot-image and lane-report hashes).
-pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// One atomic state mutation. Every change to hw/vm/procs/fs/monitor
 /// state in a replayable run flows through exactly one of these; the
@@ -217,7 +208,9 @@ impl Commit {
     /// The commit's contribution to the seal chain: a digest of its
     /// full debug encoding. Any payload difference changes it.
     pub fn encoding_digest(&self) -> u64 {
-        fnv64(format!("{self:?}").as_bytes())
+        let mut h = Fnv64::default();
+        write!(h, "{self:?}");
+        h.finish()
     }
 
     /// The acting process this commit requires to exist, if any.
@@ -428,11 +421,11 @@ impl CommitLog {
 
     /// The next seal in the chain after `prev`.
     fn chain_next(prev: u64, seq: u64, commit: &Commit) -> u64 {
-        let mut bytes = Vec::with_capacity(24);
-        bytes.extend_from_slice(&prev.to_le_bytes());
-        bytes.extend_from_slice(&seq.to_le_bytes());
-        bytes.extend_from_slice(&commit.encoding_digest().to_le_bytes());
-        fnv64(&bytes)
+        let mut h = Fnv64::default();
+        h.write(&prev.to_le_bytes());
+        h.write(&seq.to_le_bytes());
+        h.write(&commit.encoding_digest().to_le_bytes());
+        h.finish()
     }
 
     /// Seals `commit` at the end of the log, returning its sequence.
@@ -537,6 +530,21 @@ mod tests {
         log.verify().expect("an honestly appended log verifies");
         log.verify_head(log.len(), log.head())
             .expect("and it reaches its own head");
+    }
+
+    #[test]
+    fn streamed_digests_equal_fnv_over_the_formatted_bytes() {
+        let who = Some(UserId::new("Jones", "Druid", "a"));
+        let event = AuditEvent::Login { success: false };
+        let commit = Commit::Audit { who, event };
+        let debug = format!("{commit:?}");
+        assert_eq!(commit.encoding_digest(), fnv64(debug.as_bytes()));
+        let mut sm = super::super::Genesis::kernel_small().build();
+        sm.apply(&commit);
+        let records = sm.world().log.records();
+        let rendered: String = records.iter().map(|r| format!("{r:?}\n")).collect();
+        assert!(rendered.contains("Jones"));
+        assert_eq!(sm.digest().audit_digest, fnv64(rendered.as_bytes()));
     }
 
     #[test]

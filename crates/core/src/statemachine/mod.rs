@@ -37,6 +37,7 @@ pub use workload::{record_fault_run, record_overload_ladder, RecordedRun, Worklo
 
 use mks_hw::{CpuModel, InjectKind, Word};
 use mks_procs::{Effects, FnJob, Step};
+use mks_trace::Fnv64;
 
 use crate::config::KernelConfig;
 use crate::init::image::{build_image, load_image};
@@ -85,7 +86,9 @@ impl Genesis {
     /// *and* the boot target, so logs from different geneses or
     /// different boot images can never be confused.
     pub fn digest(&self) -> u64 {
-        fnv64(format!("{self:?}|boot:{:016x}", self.boot_hash()).as_bytes())
+        let mut h = Fnv64::default();
+        write!(h, "{self:?}|boot:{:016x}", self.boot_hash());
+        h.finish()
     }
 
     /// Assembles the machine: builds the system, installs the daemons,
@@ -353,29 +356,43 @@ impl KernelStateMachine {
     /// change what is being digested.
     pub fn digest(&self) -> StateDigest {
         let w = &self.sys.world;
-        let mut log_bytes = Vec::new();
-        for r in w.log.records() {
-            log_bytes.extend_from_slice(format!("{r:?}\n").as_bytes());
-        }
-        let snap_json = w.vm.machine.trace.snapshot().to_json();
         let mut census: Vec<_> = w.fs.label_census();
         census.sort_by_key(|(uid, _)| *uid);
-        let mut label_bytes = Vec::new();
+        let mut labels = Fnv64::default();
         for (uid, label) in &census {
-            label_bytes.extend_from_slice(format!("{uid:?}={label:?};").as_bytes());
+            write!(labels, "{uid:?}={label:?};");
         }
         StateDigest {
             seq: w.commits.len(),
             clock: w.vm.machine.clock.now(),
             audit_records: w.log.len() as u64,
-            audit_digest: fnv64(&log_bytes),
-            metrics_digest: fnv64(snap_json.as_bytes()),
+            audit_digest: w.audit_digest(),
+            metrics_digest: w.metrics_digest(),
             census: w.gates.user_available_entries() as u64,
             processes: w.nr_processes() as u64,
-            label_digest: fnv64(&label_bytes),
+            label_digest: labels.finish(),
             boot_hash: self.genesis.boot_hash(),
             log_digest: w.commits.head(),
         }
+    }
+}
+
+/// The world digests shared by [`StateDigest`] and the parallel lane
+/// reports, so both fingerprint a world with the same bytes.
+impl KernelWorld {
+    /// FNV-1a over the audit log, one `Debug` rendering per line.
+    pub(crate) fn audit_digest(&self) -> u64 {
+        let mut h = Fnv64::default();
+        for r in self.log.records() {
+            writeln!(h, "{r:?}");
+        }
+        h.finish()
+    }
+
+    /// FNV-1a over the raw trace snapshot's JSON, which never carries the
+    /// replication status: publishing it cannot move this digest.
+    pub(crate) fn metrics_digest(&self) -> u64 {
+        fnv64(self.vm.machine.trace.snapshot().to_json().as_bytes())
     }
 }
 

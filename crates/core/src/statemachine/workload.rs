@@ -13,11 +13,11 @@
 //! machine under admission control).
 
 use mks_fs::{Acl, AclMode, UserId};
-use mks_hw::{FaultPlan, RingBrackets, SplitMix64};
+use mks_hw::{FaultPlan, RingBrackets, SegNo, SplitMix64};
 use mks_mls::{Compartments, Label, Level};
 
 use crate::pressure::{PressureConfig, Priority};
-use crate::world::admin_user;
+use crate::world::{admin_user, KProcId};
 
 use super::{Commit, Genesis, KernelStateMachine, Outcome, StateDigest};
 
@@ -93,17 +93,35 @@ impl Recorder {
         self.boundaries.push(self.sm.digest());
         out
     }
+}
 
-    fn seg(&mut self, c: Commit) -> Option<mks_hw::SegNo> {
-        self.commit(c).seg()
-    }
+/// Where a driver sends its commits: a recorder, or a replicated cluster.
+type Submit<'a> = &'a mut dyn FnMut(Commit) -> Outcome;
 
-    fn pid(&mut self, c: Commit) -> crate::world::KProcId {
-        match self.commit(c) {
-            Outcome::Pid(p) => p,
-            other => unreachable!("process creation is infallible: {other:?}"),
-        }
+/// Creates a ring-4 process for `user` at the bottom label.
+fn spawn(submit: Submit, user: UserId) -> KProcId {
+    let c = Commit::CreateProcess {
+        user,
+        label: Label::BOTTOM,
+        ring: 4,
+    };
+    match submit(c) {
+        Outcome::Pid(p) => p,
+        other => panic!("process creation returned {other:?}"),
     }
+}
+
+/// The recovery tail every driver ends with — salvage, boot check, and a
+/// metering read that exports the log digest. Returns the salvager's
+/// findings and whether the boot check diverged.
+pub(crate) fn recovery_tail(admin: KProcId, submit: Submit) -> (u64, bool) {
+    let salvage_problems = match submit(Commit::Salvage) {
+        Outcome::Value(n) => n,
+        _ => 0,
+    };
+    let boot_divergence = submit(Commit::BootCheck) != Outcome::Value(0);
+    submit(Commit::MeteringGet { pid: admin });
+    (salvage_problems, boot_divergence)
 }
 
 fn stranger_user() -> UserId {
@@ -117,43 +135,17 @@ fn stranger_user() -> UserId {
 /// boot check, and a metering read that exports the log digest.
 pub fn record_fault_run(genesis: &Genesis, spec: &WorkloadSpec) -> RecordedRun {
     let mut rec = Recorder::new(genesis);
-    let admin = rec.pid(Commit::CreateProcess {
-        user: admin_user(),
-        label: Label::BOTTOM,
-        ring: 4,
-    });
-    let root = rec
-        .seg(Commit::BindRoot { pid: admin })
-        .expect("root binds");
-    let stranger = rec.pid(Commit::CreateProcess {
-        user: stranger_user(),
-        label: Label::BOTTOM,
-        ring: 4,
-    });
-    let sroot = rec
-        .seg(Commit::BindRoot { pid: stranger })
-        .expect("root binds");
-    let probe = rec
-        .seg(Commit::CreateSegment {
-            pid: admin,
-            dir: root,
-            name: "probe".into(),
-            acl: Acl::of("Admin.SysAdmin.a", AclMode::RW),
-            brackets: RingBrackets::new(4, 4, 4),
-            label: Label::BOTTOM,
-        })
-        .expect("probe segment creates on a fresh system");
-    rec.commit(Commit::Tick { times: 4 });
+    let mut mix = MixedWorkload::setup(spec.seed, &mut |c| rec.commit(c));
     if spec.overload {
         rec.commit(Commit::AdmissionEnable {
             config: PressureConfig::default(),
         });
         rec.commit(Commit::SetPriority {
-            pid: admin,
+            pid: mix.admin,
             priority: Priority::Interactive,
         });
         rec.commit(Commit::SetPriority {
-            pid: stranger,
+            pid: mix.stranger,
             priority: Priority::Background,
         });
     }
@@ -161,37 +153,100 @@ pub fn record_fault_run(genesis: &Genesis, spec: &WorkloadSpec) -> RecordedRun {
         plan: spec.plan.clone(),
     });
 
-    let mut rng = SplitMix64::new(spec.seed ^ 0xd1f7_ac75_0bad_c0de);
-    let mut dirs = vec![root];
     let mut crashed = false;
     let mut ops_run = 0u64;
-    let secret = Label::new(Level::SECRET, Compartments::of(&[1]));
     for i in 0..spec.ops {
         if rec.commit(Commit::CrashPoll) == Outcome::Fired(true) {
             crashed = true;
             break;
         }
         ops_run += 1;
+        mix.step(i, &mut |c| rec.commit(c));
+    }
+    rec.commit(Commit::Tick { times: 4 });
+    rec.commit(Commit::Disarm);
+    let (salvage_problems, boot_divergence) = recovery_tail(mix.admin, &mut |c| rec.commit(c));
+
+    RecordedRun {
+        sm: rec.sm,
+        boundaries: rec.boundaries,
+        crashed,
+        ops_run,
+        salvage_problems,
+        boot_divergence,
+    }
+}
+
+/// The E15-shaped mixed workload as a commit source, shared by the
+/// recorded fault runs and the replicated cluster driver: each call
+/// hands its commits to `submit` and reads back the outcome.
+pub(crate) struct MixedWorkload {
+    pub(crate) admin: KProcId,
+    pub(crate) stranger: KProcId,
+    sroot: SegNo,
+    probe: SegNo,
+    dirs: Vec<SegNo>,
+    rng: SplitMix64,
+}
+
+impl MixedWorkload {
+    /// Creates the administrator and the stranger with their root
+    /// bindings and the probe segment, then primes the clock.
+    pub(crate) fn setup(seed: u64, submit: Submit) -> MixedWorkload {
+        let admin = spawn(submit, admin_user());
+        let root = submit(Commit::BindRoot { pid: admin })
+            .seg()
+            .expect("root binds");
+        let stranger = spawn(submit, stranger_user());
+        let sroot = submit(Commit::BindRoot { pid: stranger })
+            .seg()
+            .expect("root binds");
+        let probe = submit(Commit::CreateSegment {
+            pid: admin,
+            dir: root,
+            name: "probe".into(),
+            acl: Acl::of("Admin.SysAdmin.a", AclMode::RW),
+            brackets: RingBrackets::new(4, 4, 4),
+            label: Label::BOTTOM,
+        })
+        .seg()
+        .expect("probe segment creates on a fresh system");
+        submit(Commit::Tick { times: 4 });
+        MixedWorkload {
+            admin,
+            stranger,
+            sroot,
+            probe,
+            dirs: vec![root],
+            rng: SplitMix64::new(seed ^ 0xd1f7_ac75_0bad_c0de),
+        }
+    }
+
+    /// Operation `i` of the seeded six-way mix: directory and segment
+    /// creation, probe write+read, the stranger's denied initiation,
+    /// daemon wakeup, or idle ticks.
+    pub(crate) fn step(&mut self, i: u64, submit: Submit) {
+        let (admin, rng) = (self.admin, &mut self.rng);
+        let secret = Label::new(Level::SECRET, Compartments::of(&[1]));
         match rng.below(6) {
             0 => {
-                let parent = dirs[rng.below(dirs.len() as u64) as usize];
+                let parent = self.dirs[rng.below(self.dirs.len() as u64) as usize];
                 let label = if rng.below(2) == 0 {
                     Label::BOTTOM
                 } else {
                     secret
                 };
-                if let Some(segno) = rec.seg(Commit::CreateDirectory {
+                let made = submit(Commit::CreateDirectory {
                     pid: admin,
                     dir: parent,
                     name: format!("d{i}"),
                     label,
-                }) {
-                    dirs.push(segno);
-                }
+                });
+                self.dirs.extend(made.seg());
             }
             1 => {
-                let parent = dirs[rng.below(dirs.len() as u64) as usize];
-                rec.commit(Commit::CreateSegment {
+                let parent = self.dirs[rng.below(self.dirs.len() as u64) as usize];
+                submit(Commit::CreateSegment {
                     pid: admin,
                     dir: parent,
                     name: format!("s{i}"),
@@ -202,50 +257,33 @@ pub fn record_fault_run(genesis: &Genesis, spec: &WorkloadSpec) -> RecordedRun {
             }
             2 => {
                 let offset = rng.below(64);
-                rec.commit(Commit::Write {
+                submit(Commit::Write {
                     pid: admin,
-                    seg: probe,
+                    seg: self.probe,
                     offset,
                     value: i + 1,
                 });
-                rec.commit(Commit::Read {
+                submit(Commit::Read {
                     pid: admin,
-                    seg: probe,
+                    seg: self.probe,
                     offset,
                 });
             }
             3 => {
-                rec.commit(Commit::Initiate {
-                    pid: stranger,
-                    dir: sroot,
+                submit(Commit::Initiate {
+                    pid: self.stranger,
+                    dir: self.sroot,
                     name: "probe".into(),
                 });
             }
             4 => {
-                rec.commit(Commit::Wakeup { daemon: 0 });
-                rec.commit(Commit::Tick { times: 1 });
+                submit(Commit::Wakeup { daemon: 0 });
+                submit(Commit::Tick { times: 1 });
             }
             _ => {
-                rec.commit(Commit::Tick { times: 2 });
+                submit(Commit::Tick { times: 2 });
             }
         }
-    }
-    rec.commit(Commit::Tick { times: 4 });
-    rec.commit(Commit::Disarm);
-    let salvage_problems = match rec.commit(Commit::Salvage) {
-        Outcome::Value(n) => n,
-        _ => 0,
-    };
-    let boot_divergence = rec.commit(Commit::BootCheck) != Outcome::Value(0);
-    rec.commit(Commit::MeteringGet { pid: admin });
-
-    RecordedRun {
-        sm: rec.sm,
-        boundaries: rec.boundaries,
-        crashed,
-        ops_run,
-        salvage_problems,
-        boot_divergence,
     }
 }
 
@@ -264,14 +302,9 @@ pub const LADDER_OPS: u64 = 6;
 /// verdict. Ends with the same recovery tail as the fault runs.
 pub fn record_overload_ladder(genesis: &Genesis, seed: u64) -> RecordedRun {
     let mut rec = Recorder::new(genesis);
-    let admin = rec.pid(Commit::CreateProcess {
-        user: admin_user(),
-        label: Label::BOTTOM,
-        ring: 4,
-    });
-    let root = rec
-        .seg(Commit::BindRoot { pid: admin })
-        .expect("root binds");
+    let admin = spawn(&mut |c| rec.commit(c), admin_user());
+    let root = rec.commit(Commit::BindRoot { pid: admin }).seg();
+    let root = root.expect("root binds");
     rec.commit(Commit::Tick { times: 4 });
     // Tight soft caps make the small machine's exhaustion visible to the
     // gauges early (the E16 recipe): the probe population crosses the
@@ -313,12 +346,8 @@ pub fn record_overload_ladder(genesis: &Genesis, seed: u64) -> RecordedRun {
         let mut cohort = Vec::new();
         for p in 0..*rung {
             let user = UserId::new(&format!("Load{p}"), &format!("Rung{r}"), "a");
-            let pid = rec.pid(Commit::CreateProcess {
-                user,
-                label: Label::BOTTOM,
-                ring: 4,
-            });
-            let Some(own_root) = rec.seg(Commit::BindRoot { pid }) else {
+            let pid = spawn(&mut |c| rec.commit(c), user);
+            let Some(own_root) = rec.commit(Commit::BindRoot { pid }).seg() else {
                 continue;
             };
             rec.commit(Commit::SetPriority {
@@ -371,12 +400,7 @@ pub fn record_overload_ladder(genesis: &Genesis, seed: u64) -> RecordedRun {
     }
     rec.commit(Commit::Tick { times: 4 });
     rec.commit(Commit::Disarm);
-    let salvage_problems = match rec.commit(Commit::Salvage) {
-        Outcome::Value(n) => n,
-        _ => 0,
-    };
-    let boot_divergence = rec.commit(Commit::BootCheck) != Outcome::Value(0);
-    rec.commit(Commit::MeteringGet { pid: admin });
+    let (salvage_problems, boot_divergence) = recovery_tail(admin, &mut |c| rec.commit(c));
 
     RecordedRun {
         sm: rec.sm,

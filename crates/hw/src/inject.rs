@@ -54,6 +54,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use crate::clock::Cycles;
+pub use mks_trace::SplitMix64;
 
 /// The classes of fault the simulation can inject, one per site class.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -284,19 +285,8 @@ impl FaultPlan {
     /// byte-identical to the schedules generated before the exhaustion
     /// kinds existed (the draw set is pinned to the legacy seven).
     pub fn generate(seed: u64) -> FaultPlan {
-        let mut rng = SplitMix64::new(seed ^ 0x9e37_79b9_7f4a_7c15);
-        let count = 2 + rng.below(9);
-        let mut events: Vec<FaultEvent> = Vec::new();
-        for _ in 0..count {
-            let kind = InjectKind::LEGACY[rng.below(NR_LEGACY_KINDS as u64) as usize];
-            let nth = rng.below(HIT_HORIZON);
-            let detail = rng.next_u64();
-            if !events.iter().any(|e| e.kind == kind && e.nth == nth) {
-                events.push(FaultEvent { kind, nth, detail });
-            }
-        }
-        events.sort_by_key(|e| (e.kind, e.nth));
-        FaultPlan { seed, events }
+        let salt = SplitMix64::GAMMA;
+        FaultPlan::seeded(seed, salt, (2, 9), &InjectKind::LEGACY, HIT_HORIZON)
     }
 
     /// Generates an *overload* plan for `seed`: 4–14 events drawn from
@@ -306,19 +296,8 @@ impl FaultPlan {
     /// mid-overload crashes. Pure: same seed, same plan. Disjoint from
     /// [`FaultPlan::generate`]'s schedule space by construction.
     pub fn generate_overload(seed: u64) -> FaultPlan {
-        let mut rng = SplitMix64::new(seed ^ 0xd1b5_4a32_d192_ed03);
-        let count = 4 + rng.below(11);
-        let mut events: Vec<FaultEvent> = Vec::new();
-        for _ in 0..count {
-            let kind = InjectKind::OVERLOAD[rng.below(InjectKind::OVERLOAD.len() as u64) as usize];
-            let nth = rng.below(HIT_HORIZON);
-            let detail = rng.next_u64();
-            if !events.iter().any(|e| e.kind == kind && e.nth == nth) {
-                events.push(FaultEvent { kind, nth, detail });
-            }
-        }
-        events.sort_by_key(|e| (e.kind, e.nth));
-        FaultPlan { seed, events }
+        let salt = 0xd1b5_4a32_d192_ed03;
+        FaultPlan::seeded(seed, salt, (4, 11), &InjectKind::OVERLOAD, HIT_HORIZON)
     }
 
     /// Generates a *replication* plan for `seed`: 3–12 events drawn from
@@ -328,20 +307,25 @@ impl FaultPlan {
     /// Disjoint from [`FaultPlan::generate`] and
     /// [`FaultPlan::generate_overload`] by draw set and xor constant.
     pub fn generate_replication(seed: u64) -> FaultPlan {
-        let mut rng = SplitMix64::new(seed ^ 0x8f1b_bcdc_ca62_c1d6);
-        let count = 3 + rng.below(10);
-        let mut events: Vec<FaultEvent> = Vec::new();
-        for _ in 0..count {
-            let kind =
-                InjectKind::REPLICATION[rng.below(InjectKind::REPLICATION.len() as u64) as usize];
-            let nth = rng.below(REPL_HIT_HORIZON);
-            let detail = rng.next_u64();
-            if !events.iter().any(|e| e.kind == kind && e.nth == nth) {
-                events.push(FaultEvent { kind, nth, detail });
-            }
-        }
-        events.sort_by_key(|e| (e.kind, e.nth));
-        FaultPlan { seed, events }
+        let (salt, kinds) = (0x8f1b_bcdc_ca62_c1d6, &InjectKind::REPLICATION);
+        FaultPlan::seeded(seed, salt, (3, 10), kinds, REPL_HIT_HORIZON)
+    }
+
+    /// The one plan sampler behind the generators: `count.0 +
+    /// below(count.1)` draws of (kind, hit index below `hits`, detail)
+    /// from a `seed ^ salt` stream, deduplicated and sorted like
+    /// [`FaultPlan::from_events`].
+    fn seeded(seed: u64, salt: u64, count: (u64, u64), kinds: &[InjectKind], hits: u64) -> Self {
+        let mut rng = SplitMix64::new(seed ^ salt);
+        let count = count.0 + rng.below(count.1);
+        let events = (0..count).map(|_| FaultEvent {
+            kind: kinds[rng.below(kinds.len() as u64) as usize],
+            nth: rng.below(hits),
+            detail: rng.next_u64(),
+        });
+        let mut plan = FaultPlan::from_events(events.collect());
+        plan.seed = seed;
+        plan
     }
 
     /// Builds a hand-crafted plan (replay of a shrunk schedule, targeted
@@ -540,32 +524,6 @@ pub fn shrink_plan(plan: &FaultPlan, mut reproduces: impl FnMut(&FaultPlan) -> b
     FaultPlan {
         seed: plan.seed,
         events,
-    }
-}
-
-/// A tiny deterministic generator (SplitMix64) for plan generation and the
-/// recovery driver's workload choices. Not for statistics — for replay.
-#[derive(Clone, Debug)]
-pub struct SplitMix64(u64);
-
-impl SplitMix64 {
-    /// Seeds the generator.
-    pub fn new(seed: u64) -> SplitMix64 {
-        SplitMix64(seed)
-    }
-
-    /// Next raw 64-bit value.
-    pub fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform-ish value in `0..bound` (`bound` must be non-zero).
-    pub fn below(&mut self, bound: u64) -> u64 {
-        self.next_u64() % bound
     }
 }
 

@@ -50,7 +50,7 @@ pub use inject::{
     NR_INJECT_KINDS, NR_LEGACY_KINDS,
 };
 pub use lockorder::{LockAudit, LockHold, LockId, LockOrderHandle};
-pub use machine::{AccessType, CallOutcome, Machine};
+pub use machine::{sweep_seeds, sweep_seeds_from_env, AccessType, CallOutcome, Machine};
 pub use mem::{FrameId, PhysMem, PAGE_WORDS};
 pub use module::{source_weight, Category, ModuleInfo};
 pub use ring::{RingBrackets, RingNo, NR_RINGS};

@@ -385,6 +385,22 @@ pub fn resolve_trace_capacity(explicit: Option<usize>, env: Option<String>) -> u
         .max(1)
 }
 
+/// Resolves the width of a seeded sweep: a parseable `env` value, else
+/// the suite's `default`. The result is clamped to at least 2 — the
+/// replay suite halves its sweep for a sub-sweep that must not vanish.
+pub fn sweep_seeds(default: u64, env: Option<String>) -> u64 {
+    env.as_deref()
+        .and_then(|s| s.trim().parse().ok())
+        .unwrap_or(default)
+        .max(2)
+}
+
+/// The seeded-sweep width for this run: [`sweep_seeds`] over the
+/// `MKS_SWEEP_SEEDS` environment variable, the one place it is read.
+pub fn sweep_seeds_from_env(default: u64) -> u64 {
+    sweep_seeds(default, std::env::var("MKS_SWEEP_SEEDS").ok())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -430,6 +446,15 @@ mod tests {
         );
         // Zero is clamped to a one-slot ring.
         assert_eq!(resolve_trace_capacity(Some(0), None), 1);
+    }
+
+    #[test]
+    fn sweep_seeds_trims_falls_back_and_clamps() {
+        assert_eq!(sweep_seeds(60, None), 60);
+        assert_eq!(sweep_seeds(60, Some("0".to_string())), 2);
+        assert_eq!(sweep_seeds(60, Some(" 8 ".to_string())), 8);
+        assert_eq!(sweep_seeds(60, Some("x".to_string())), 60);
+        assert_eq!(sweep_seeds(1, None), 2);
     }
 
     #[test]

@@ -95,6 +95,13 @@ impl Value {
 
 fn emit_string(s: &str, out: &mut String) {
     out.push('"');
+    escape(s, out);
+    out.push('"');
+}
+
+/// Appends `s` to `out` escaped for the inside of a JSON string literal
+/// (the surrounding quotes are the caller's).
+pub fn escape(s: &str, out: &mut String) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -106,7 +113,6 @@ fn emit_string(s: &str, out: &mut String) {
             c => out.push(c),
         }
     }
-    out.push('"');
 }
 
 /// A parse failure, with a byte offset for context.

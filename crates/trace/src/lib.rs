@@ -32,6 +32,7 @@
 
 pub mod analytics;
 pub mod clock;
+pub mod digest;
 pub mod json;
 pub mod metrics;
 pub mod quantile;
@@ -51,6 +52,7 @@ pub use analytics::{
     PrincipalRate,
 };
 pub use clock::{Clock, Cycles};
+pub use digest::{fnv64, Fnv64, SplitMix64};
 pub use metrics::{Histogram, MetricsRegistry};
 pub use quantile::{Exemplar, QuantileSketch};
 pub use record::{EventKind, Layer, TraceRecord};
@@ -92,17 +94,6 @@ pub struct FlightRecorder {
     sampler: Sampler,
     /// Streaming audit analytics and anomaly surveillance.
     observatory: Observatory,
-}
-
-/// FNV-1a over a name: the deterministic seed of its quantile sketch's
-/// exemplar reservoir.
-fn name_seed(name: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in name.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 impl FlightRecorder {
@@ -152,7 +143,7 @@ impl FlightRecorder {
         let at = self.clock.now();
         self.quantiles
             .entry(name.to_string())
-            .or_insert_with(|| QuantileSketch::new(name_seed(name)))
+            .or_insert_with(|| QuantileSketch::new(fnv64(name.as_bytes())))
             .observe(value, at, principal, detail);
     }
 

@@ -19,14 +19,6 @@ use mks_procs::{SchedMode, TcConfig, TrafficController};
 use mks_vm::parallel::TraceJob;
 use mks_vm::{BulkFreerJob, ClockPolicy, CoreFreerJob, ParallelConfig, ParallelPageControl};
 
-fn sweep_seeds() -> u64 {
-    std::env::var("MKS_SWEEP_SEEDS")
-        .ok()
-        .and_then(|s| s.trim().parse().ok())
-        .unwrap_or(4)
-        .max(1)
-}
-
 fn cfg(seed: u64, nr_cpus: usize) -> LaneConfig {
     LaneConfig {
         lanes: 3,
@@ -40,7 +32,7 @@ fn cfg(seed: u64, nr_cpus: usize) -> LaneConfig {
 
 #[test]
 fn whole_kernel_differential_is_clean_across_the_seed_sweep() {
-    for seed in 0..sweep_seeds() {
+    for seed in 0..mks_hw::sweep_seeds_from_env(4) {
         assert_eq!(
             differential_mismatches(&cfg(seed, 4), 4),
             0,

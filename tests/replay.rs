@@ -17,11 +17,7 @@ use mks_kernel::statemachine::{
 };
 
 fn sweep_seeds() -> u64 {
-    std::env::var("MKS_SWEEP_SEEDS")
-        .ok()
-        .and_then(|s| s.trim().parse().ok())
-        .unwrap_or(60)
-        .max(2)
+    mks_hw::sweep_seeds_from_env(60)
 }
 
 fn fault_run(seed: u64) -> (Genesis, RecordedRun) {

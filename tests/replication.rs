@@ -15,14 +15,6 @@ use mks_hw::{FaultEvent, FaultPlan, InjectKind};
 use mks_kernel::replicate::{drive_mixed_workload, Cluster, ReplConfig, ReplError, Role};
 use mks_kernel::statemachine::{reduce, Commit, Genesis};
 
-fn sweep_seeds() -> u64 {
-    std::env::var("MKS_SWEEP_SEEDS")
-        .ok()
-        .and_then(|s| s.trim().parse().ok())
-        .unwrap_or(60)
-        .max(2)
-}
-
 fn cluster(seed: u64) -> Cluster {
     Cluster::new(
         Genesis::kernel_small(),
@@ -87,7 +79,7 @@ fn assert_sound(c: &Cluster, what: &str, seed: u64) {
 
 #[test]
 fn hostile_link_sweep_reconverges_soundly() {
-    for seed in 0..sweep_seeds() {
+    for seed in 0..mks_hw::sweep_seeds_from_env(60) {
         let mut c = cluster(seed);
         c.arm(&FaultPlan::generate_replication(seed));
         let report = drive_mixed_workload(&mut c, seed, 40);

@@ -16,11 +16,7 @@ use proptest::prelude::*;
 
 /// Sweep width: `MKS_SWEEP_SEEDS` or a CI-friendly default.
 fn sweep_seeds() -> u64 {
-    std::env::var("MKS_SWEEP_SEEDS")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(4)
+    mks_hw::sweep_seeds_from_env(4)
 }
 
 /// The same pinned seed must produce the same world, op for op and
