@@ -200,9 +200,6 @@ impl Monitor {
         }
     }
 
-    /// Refuses an operation whose bounded retries ran out (or whose
-    /// deadline passed): audits the give-up as an `Overload` record and
-    /// counts it, so backpressure is reviewable, never silent.
     /// Opens the profiled span for one gated operation. On close (any
     /// exit path — the guard drops), the span's inclusive cycles land in
     /// the `q.monitor.<op>.<class>` quantile sketch, where the class is
@@ -227,6 +224,9 @@ impl Monitor {
         )
     }
 
+    /// Refuses an operation whose bounded retries ran out (or whose
+    /// deadline passed): audits the give-up as an `Overload` record and
+    /// counts it, so backpressure is reviewable, never silent.
     fn overload_refusal(world: &mut KernelWorld, pid: KProcId, what: &str) -> AccessError {
         let peak = read_pressure(world).peak();
         world.vm.machine.trace.counter_add("admission.overload", 1);
@@ -312,11 +312,8 @@ impl Monitor {
                 Err(e) => return Err(AccessError::Mech(e)),
             }
         };
-        let (_, proc) = world.vm_and_proc_mut(pid);
-        let segno = match &mut proc.kst {
-            KstState::Kernel(k) => k.bind(target.uid, false),
-            KstState::Legacy(k) => k.core.bind(target.uid, false),
-        };
+        let proc = world.proc_mut(pid);
+        let segno = proc.kst.core_mut().bind(target.uid, false);
         proc.aspace.set(
             segno,
             mks_hw::Sdw::plain(astx, target.mode, target.brackets),
@@ -331,12 +328,12 @@ impl Monitor {
         pid: KProcId,
         dir_segno: SegNo,
     ) -> Result<SegUid, AccessError> {
-        let proc = world.proc(pid);
-        let entry = match &proc.kst {
-            KstState::Kernel(k) => k.entry(dir_segno),
-            KstState::Legacy(k) => k.core.entry(dir_segno),
-        }
-        .ok_or(AccessError::NoInfo)?;
+        let entry = world
+            .proc(pid)
+            .kst
+            .core()
+            .entry(dir_segno)
+            .ok_or(AccessError::NoInfo)?;
         if entry.phantom || !entry.is_dir {
             return Err(AccessError::NoInfo);
         }
@@ -436,13 +433,7 @@ impl Monitor {
                 // repeated initiate_dir calls, then one initiate.
                 let comps = parse_path(path).map_err(|_| AccessError::BadPath)?;
                 let (leaf, dirs) = comps.split_last().expect("non-empty");
-                let mut dir = {
-                    let (_, proc) = world.fs_and_proc_mut(pid);
-                    match &mut proc.kst {
-                        KstState::Kernel(k) => mks_fs::kst::bind_root(k),
-                        KstState::Legacy(k) => k.core.bind(mks_fs::FileSystem::ROOT, true),
-                    }
-                };
+                let mut dir = world.bind_root(pid);
                 for c in dirs {
                     dir = Self::initiate_dir(world, pid, dir, c);
                 }
@@ -721,12 +712,8 @@ impl Monitor {
         if world.vm.machine.ast.find(uid).is_some() {
             mks_vm::SegControl::delete(&mut world.vm, uid).map_err(AccessError::Mech)?;
         }
-        let (_, proc) = world.vm_and_proc_mut(pid);
-        let segno = match &mut proc.kst {
-            KstState::Kernel(k) => k.segno_of(uid),
-            KstState::Legacy(k) => k.core.segno_of(uid),
-        };
-        if let Some(s) = segno {
+        let proc = world.proc_mut(pid);
+        if let Some(s) = proc.kst.core().segno_of(uid) {
             match &mut proc.kst {
                 KstState::Kernel(k) => {
                     k.unbind(s);
@@ -769,12 +756,7 @@ impl Monitor {
             .fs
             .create_directory(dir_uid, name, &user, label)
             .map_err(AccessError::Fs)?;
-        let (_, proc) = world.fs_and_proc_mut(pid);
-        let segno = match &mut proc.kst {
-            KstState::Kernel(k) => k.bind(uid, true),
-            KstState::Legacy(k) => k.core.bind(uid, true),
-        };
-        Ok(segno)
+        Ok(world.proc_mut(pid).kst.core_mut().bind(uid, true))
     }
 
     /// Gate `list_dir`: entry names of the directory bound at `dir_segno`,
@@ -908,11 +890,9 @@ impl Monitor {
         let obj_label = branch.label;
         let mls_on = world.cfg.mls;
         world.for_each_proc_mut(|proc| {
-            let segno = match &proc.kst {
-                KstState::Kernel(k) => k.segno_of(uid),
-                KstState::Legacy(k) => k.core.segno_of(uid),
+            let Some(segno) = proc.kst.core().segno_of(uid) else {
+                return;
             };
-            let Some(segno) = segno else { return };
             let acl_mode = acl.effective(&proc.user).unwrap_or(AclMode::NULL);
             let mode = combine(acl_mode, &proc.label, &obj_label, mls_on);
             if let Some(sdw) = proc.aspace.get_mut(segno) {
@@ -937,12 +917,8 @@ impl Monitor {
         );
         world.vm.machine.charge_gate_crossing();
         let mon_span = trace.span(mks_trace::Layer::Monitor, "monitor.terminate");
-        let (_, proc) = world.vm_and_proc_mut(pid);
-        let entry = match &mut proc.kst {
-            KstState::Kernel(k) => k.unbind(segno),
-            KstState::Legacy(k) => k.core.unbind(segno),
-        };
-        let out = if entry.is_none() {
+        let proc = world.proc_mut(pid);
+        let out = if proc.kst.core_mut().unbind(segno).is_none() {
             Err(AccessError::NoInfo)
         } else {
             proc.aspace.clear(segno);
@@ -985,15 +961,13 @@ impl Monitor {
             match op(world, pid) {
                 Ok(v) => return Ok(v),
                 Err(Fault::MissingPage { seg, page }) => {
-                    let uid = {
-                        let proc = world.proc(pid);
-                        match &proc.kst {
-                            KstState::Kernel(k) => k.entry(seg),
-                            KstState::Legacy(k) => k.core.entry(seg),
-                        }
+                    let uid = world
+                        .proc(pid)
+                        .kst
+                        .core()
+                        .entry(seg)
                         .map(|e| e.uid)
-                        .ok_or(AccessError::Fault(Fault::MissingPage { seg, page }))?
-                    };
+                        .ok_or(AccessError::Fault(Fault::MissingPage { seg, page }))?;
                     loop {
                         let (vm, pager) = {
                             let w = &mut *world;
@@ -1188,11 +1162,7 @@ pub struct UserRingResolver<'a> {
 
 impl DirInitiator for UserRingResolver<'_> {
     fn root(&mut self) -> SegNo {
-        let (_, proc) = self.world.fs_and_proc_mut(self.pid);
-        match &mut proc.kst {
-            KstState::Kernel(k) => mks_fs::kst::bind_root(k),
-            KstState::Legacy(k) => k.core.bind(mks_fs::FileSystem::ROOT, true),
-        }
+        self.world.bind_root(self.pid)
     }
 
     fn initiate_dir(&mut self, dir: SegNo, name: &str) -> SegNo {
@@ -1204,20 +1174,12 @@ impl DirInitiator for UserRingResolver<'_> {
 mod tests {
     use super::*;
     use crate::config::KernelConfig;
-    use crate::world::{admin_user, KstState, System};
+    use crate::world::{admin_user, System};
     use mks_fs::{DirMode, UserId};
     use mks_mls::{Compartments, Level};
 
     fn jones() -> UserId {
         UserId::new("Jones", "CSR", "a")
-    }
-
-    fn root_of(sys: &mut System, pid: KProcId) -> SegNo {
-        let (_, proc) = sys.world.fs_and_proc_mut(pid);
-        match &mut proc.kst {
-            KstState::Kernel(k) => mks_fs::kst::bind_root(k),
-            KstState::Legacy(k) => k.core.bind(mks_fs::FileSystem::ROOT, true),
-        }
     }
 
     /// A system with `>udd` (status+append for everyone) and two
@@ -1226,7 +1188,7 @@ mod tests {
         let mut sys = System::new(cfg);
         let admin = sys.world.create_process(admin_user(), Label::BOTTOM, 4);
         let jpid = sys.world.create_process(jones(), Label::BOTTOM, 4);
-        let root = root_of(&mut sys, admin);
+        let root = sys.world.bind_root(admin);
         Monitor::create_directory(&mut sys.world, admin, root, "udd", Label::BOTTOM).unwrap();
         sys.world
             .fs
@@ -1242,7 +1204,7 @@ mod tests {
     }
 
     fn udd_of(sys: &mut System, pid: KProcId) -> SegNo {
-        let root = root_of(sys, pid);
+        let root = sys.world.bind_root(pid);
         Monitor::initiate_dir(&mut sys.world, pid, root, "udd")
     }
 

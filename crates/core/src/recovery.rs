@@ -6,12 +6,14 @@
 //! back *securely* from a crash: "the salvager repairs the hierarchy in
 //! the restrictive direction" and initialization from a pre-built memory
 //! image "always produces the same protected state". This module turns
-//! that argument into an executable check. [`run_plan`] builds a small
-//! system, arms the fault injector with a seeded [`FaultPlan`], drives a
-//! mixed workload (hierarchy creation, paging traffic, denied references,
-//! IPC wakeups) until the plan's `Crash` event kills it mid-operation,
-//! then recovers — re-boot from the memory image, official salvage — and
-//! asserts the invariants the rest of the tree relies on:
+//! that argument into an executable check. [`run_plan`] builds the small
+//! replayable system ([`Genesis::kernel_small`]) and sends it the shared
+//! fault run as commits: the fault injector armed with a seeded
+//! [`FaultPlan`], then the mixed workload (hierarchy creation, paging
+//! traffic, denied references, IPC wakeups) until the plan's `Crash`
+//! event kills it mid-operation. It then recovers — re-boot from the
+//! memory image, official salvage — and asserts the invariants the rest
+//! of the tree relies on:
 //!
 //! 1. **labels only raised** — no surviving branch's label moved downward
 //!    across recovery (restrictive repair, the paper's rule);
@@ -31,17 +33,17 @@
 
 use std::collections::BTreeMap;
 
-use mks_fs::{Acl, AclMode, Problem, UserId};
-use mks_hw::{CpuModel, FaultPlan, FiredFault, InjectKind, RingBrackets, SplitMix64, Word};
-use mks_mls::{Compartments, Label, Level};
-use mks_procs::{Effects, FnJob, Step};
+use mks_fs::Problem;
+use mks_hw::{FaultPlan, FiredFault};
+use mks_mls::Label;
 
-use crate::config::KernelConfig;
 use crate::gatetable::GateTable;
 use crate::init::image::{build_image, load_image};
 use crate::init::{state_hash, target_state};
 use crate::monitor::Monitor;
-use crate::world::{admin_user, System, SystemSize};
+use crate::statemachine::workload::drive_fault_run;
+use crate::statemachine::Genesis;
+use crate::world::admin_user;
 
 /// A deliberate defect in the recovery path, used to prove the harness
 /// detects a broken salvager (the mutation check of experiment E15).
@@ -57,16 +59,9 @@ pub enum SalvageMutation {
     LowerAfterRepair,
 }
 
-/// Sizing and shape of one recovery run.
+/// Shape of one recovery run.
 #[derive(Clone, Copy, Debug)]
 pub struct RecoveryOpts {
-    /// Workload operations attempted before a natural stop (a `Crash`
-    /// event in the plan usually stops the run earlier).
-    pub ops: u64,
-    /// Primary-memory frames (small, to force paging traffic).
-    pub frames: usize,
-    /// Bulk-store records.
-    pub bulk_records: usize,
     /// Deliberate recovery defect, if any.
     pub mutation: SalvageMutation,
     /// Run the workload with admission control **enabled** (default
@@ -79,9 +74,6 @@ pub struct RecoveryOpts {
 impl Default for RecoveryOpts {
     fn default() -> RecoveryOpts {
         RecoveryOpts {
-            ops: 32,
-            frames: 16,
-            bulk_records: 64,
             mutation: SalvageMutation::None,
             overload: false,
         }
@@ -144,10 +136,6 @@ pub fn problem_kind(p: &Problem) -> &'static str {
     }
 }
 
-fn stranger_user() -> UserId {
-    UserId::new("Mallory", "Guest", "a")
-}
-
 /// Runs the seeded plan `FaultPlan::generate(seed)` through the harness.
 pub fn run_seed(seed: u64, opts: RecoveryOpts) -> RecoveryOutcome {
     run_plan(&FaultPlan::generate(seed), opts)
@@ -155,144 +143,19 @@ pub fn run_seed(seed: u64, opts: RecoveryOpts) -> RecoveryOutcome {
 
 /// Runs one plan: workload under injection, crash, recovery, invariants.
 pub fn run_plan(plan: &FaultPlan, opts: RecoveryOpts) -> RecoveryOutcome {
-    let cfg = KernelConfig::kernel();
-    let mut sys = System::with_size(
-        cfg,
-        SystemSize {
-            frames: opts.frames,
-            bulk_records: opts.bulk_records,
-            cpu: CpuModel::H6180,
-            ..SystemSize::default()
-        },
-    );
-    let inject = sys.world.vm.machine.inject.clone();
-
-    // Principals: the administrator does the work, a stranger provides
-    // denied references (audit-log traffic through the SkewClock site).
-    let admin = sys.world.create_process(admin_user(), Label::BOTTOM, 4);
-    let root = sys.world.bind_root(admin);
-    let stranger = sys.world.create_process(stranger_user(), Label::BOTTOM, 4);
-    let sroot = sys.world.bind_root(stranger);
-
-    // A paging probe the workload hammers (admin-only, so the stranger's
-    // initiates are denied).
-    let probe = Monitor::create_segment(
-        &mut sys.world,
-        admin,
-        root,
-        "probe",
-        Acl::of("Admin.SysAdmin.a", AclMode::RW),
-        RingBrackets::new(4, 4, 4),
-        Label::BOTTOM,
-    )
-    .expect("probe segment creates on a fresh system");
-
-    // A dedicated daemon blocking on an event channel: the DropWakeup
-    // injection point has something real to starve.
-    let daemon_event = sys.tc.alloc_event();
-    sys.tc.add_dedicated(Box::new(FnJob::new(
-        "recovery-daemon",
-        move |_e: &mut Effects<'_, crate::world::KernelWorld>| Step::Block(daemon_event),
-    )));
-    for _ in 0..4 {
-        sys.tc.tick(&mut sys.world);
-    }
-
-    // Setup is done; everything from here on runs under the plan. In
-    // overload mode the admission layer is armed as well, with the admin
-    // above the stranger in the shed order — so the plan's exhaustion
-    // events land on a kernel that is actively prioritizing.
-    if opts.overload {
-        sys.world
-            .admission
-            .enable(crate::pressure::PressureConfig::default());
-        sys.world
-            .admission
-            .set_priority(admin, crate::pressure::Priority::Interactive);
-        sys.world
-            .admission
-            .set_priority(stranger, crate::pressure::Priority::Background);
-    }
-    inject.arm(plan);
-
-    // The workload proper. Operations on a damaged hierarchy may be
-    // refused — deterministic refusals are part of the scenario. The
-    // `Crash` injection point is consulted at every operation boundary,
-    // so a plan chooses exactly which operation the kill interrupts.
-    let mut rng = SplitMix64::new(plan.seed ^ 0xd1f7_ac75_0bad_c0de);
-    let mut dirs = vec![root];
-    let mut crashed = false;
-    let mut ops_run = 0u64;
-    let secret = Label::new(Level::SECRET, Compartments::of(&[1]));
-    for i in 0..opts.ops {
-        if inject.fires(InjectKind::Crash).is_some() {
-            crashed = true;
-            break;
-        }
-        ops_run += 1;
-        match rng.below(6) {
-            0 => {
-                let parent = dirs[rng.below(dirs.len() as u64) as usize];
-                let label = if rng.below(2) == 0 {
-                    Label::BOTTOM
-                } else {
-                    secret
-                };
-                if let Ok(segno) = Monitor::create_directory(
-                    &mut sys.world,
-                    admin,
-                    parent,
-                    &format!("d{i}"),
-                    label,
-                ) {
-                    dirs.push(segno);
-                }
-            }
-            1 => {
-                let parent = dirs[rng.below(dirs.len() as u64) as usize];
-                let _ = Monitor::create_segment(
-                    &mut sys.world,
-                    admin,
-                    parent,
-                    &format!("s{i}"),
-                    Acl::of("*.*.*", AclMode::RW),
-                    RingBrackets::new(4, 4, 4),
-                    secret,
-                );
-            }
-            2 => {
-                // Paging churn through the monitor: the SlowDisk/FailDisk
-                // sites fire inside the transfers this provokes.
-                let off = rng.below(64) as usize;
-                let _ = Monitor::write(&mut sys.world, admin, probe, off, Word::new(i + 1));
-                let _ = Monitor::read(&mut sys.world, admin, probe, off);
-            }
-            3 => {
-                // A denied reference: audit-log traffic through the
-                // monitor's timestamp (SkewClock) site.
-                let _ = Monitor::initiate(&mut sys.world, stranger, sroot, "probe");
-            }
-            4 => {
-                sys.tc.wakeup_external(&mut sys.world, daemon_event);
-                sys.tc.tick(&mut sys.world);
-            }
-            _ => {
-                sys.tc.tick(&mut sys.world);
-                sys.tc.tick(&mut sys.world);
-            }
-        }
-    }
-    for _ in 0..4 {
-        sys.tc.tick(&mut sys.world);
-    }
-    inject.disarm();
-    let fired = inject.fired();
+    // The workload proper, as commits through the state machine.
+    // Operations on a damaged hierarchy may be refused — deterministic
+    // refusals are part of the scenario.
+    let mut sm = Genesis::kernel_small().build();
+    let (_, crashed, ops_run) = drive_fault_run(plan, opts.overload, &mut |c| sm.apply(&c));
+    let world = sm.world_mut();
+    let fired = world.vm.machine.inject.fired();
 
     // Snapshot what must survive recovery.
-    let census_before: BTreeMap<_, _> = sys.world.fs.label_census().into_iter().collect();
+    let census_before: BTreeMap<_, _> = world.fs.label_census().into_iter().collect();
     let gates_before = (
-        sys.world.gates.total_entries(),
-        sys.world.gates.user_available_entries(),
+        world.gates.total_entries(),
+        world.gates.user_available_entries(),
     );
 
     let mut out = RecoveryOutcome {
@@ -315,10 +178,10 @@ pub fn run_plan(plan: &FaultPlan, opts: RecoveryOpts) -> RecoveryOutcome {
     // --- Recovery step 1: re-boot through initialization. The memory
     // image is configuration state, not crash state: it must still load,
     // and load to exactly the pre-computed target.
-    let img = build_image(&sys.world.cfg);
-    match load_image(&img, &sys.world.vm.machine.clock) {
+    let img = build_image(&world.cfg);
+    match load_image(&img, &world.vm.machine.clock) {
         Ok((state, _)) => {
-            let expected = state_hash(&target_state(&sys.world.cfg));
+            let expected = state_hash(&target_state(&world.cfg));
             if state_hash(&state) != expected {
                 out.boot_divergence += 1;
                 out.violations
@@ -338,7 +201,7 @@ pub fn run_plan(plan: &FaultPlan, opts: RecoveryOpts) -> RecoveryOutcome {
             out.mutation_applied = true;
         }
         SalvageMutation::None | SalvageMutation::LowerAfterRepair => {
-            let report = sys.world.fs.salvage();
+            let report = world.fs.salvage();
             out.problems_found = report.problems.len();
             out.repaired = report.repaired;
             let mut kinds: Vec<&'static str> = report.problems.iter().map(problem_kind).collect();
@@ -348,18 +211,15 @@ pub fn run_plan(plan: &FaultPlan, opts: RecoveryOpts) -> RecoveryOutcome {
             if opts.mutation == SalvageMutation::LowerAfterRepair {
                 // Lower the first surviving non-BOTTOM label (uids are
                 // unique post-salvage, so the lookup is deterministic).
-                let target = sys
-                    .world
+                let target = world
                     .fs
                     .label_census()
                     .into_iter()
                     .find(|(_, label)| *label != Label::BOTTOM);
                 if let Some((uid, _)) = target {
-                    if let Some((dir, _)) = sys.world.fs.find_by_uid(uid) {
+                    if let Some((dir, _)) = world.fs.find_by_uid(uid) {
                         out.mutation_applied =
-                            sys.world
-                                .fs
-                                .apply_tear(dir, uid, mks_fs::TearMode::LowerLabel);
+                            world.fs.apply_tear(dir, uid, mks_fs::TearMode::LowerLabel);
                     }
                 }
             }
@@ -368,7 +228,7 @@ pub fn run_plan(plan: &FaultPlan, opts: RecoveryOpts) -> RecoveryOutcome {
 
     // --- Invariant 1: labels only raised. Every branch that survived
     // recovery must carry a label dominating what it had at the crash.
-    for (uid, after) in sys.world.fs.label_census() {
+    for (uid, after) in world.fs.label_census() {
         if let Some(before) = census_before.get(&uid) {
             if !after.dominates(before) {
                 out.labels_lowered += 1;
@@ -383,7 +243,7 @@ pub fn run_plan(plan: &FaultPlan, opts: RecoveryOpts) -> RecoveryOutcome {
     // --- Invariant 2: no residual damage. A fresh consistency pass after
     // recovery must report a clean hierarchy; anything it finds means the
     // official salvage was skipped, incomplete, or not idempotent.
-    let recheck = sys.world.fs.salvage();
+    let recheck = world.fs.salvage();
     if !recheck.clean() {
         out.residual_damage += recheck.problems.len() as u64;
         let mut kinds: Vec<&'static str> = recheck.problems.iter().map(problem_kind).collect();
@@ -398,10 +258,10 @@ pub fn run_plan(plan: &FaultPlan, opts: RecoveryOpts) -> RecoveryOutcome {
     // --- Invariant 3: gate census unchanged. The protected entry-point
     // surface is a function of the configuration alone.
     let gates_after = (
-        sys.world.gates.total_entries(),
-        sys.world.gates.user_available_entries(),
+        world.gates.total_entries(),
+        world.gates.user_available_entries(),
     );
-    let rebuilt = GateTable::build(&sys.world.cfg);
+    let rebuilt = GateTable::build(&world.cfg);
     let gates_target = (rebuilt.total_entries(), rebuilt.user_available_entries());
     if gates_after != gates_before || gates_after != gates_target {
         out.census_drift += 1;
@@ -414,13 +274,13 @@ pub fn run_plan(plan: &FaultPlan, opts: RecoveryOpts) -> RecoveryOutcome {
     // post-recovery reference must move the verdict counters and leave a
     // verdict record in the flight recorder — if it does not, references
     // are flowing around the monitor.
-    let trace = sys.world.vm.machine.trace.clone();
+    let trace = world.vm.machine.trace.clone();
     let granted_before = trace.counter("monitor.granted");
     let denied_before = trace.counter("monitor.denied");
-    let post = sys.world.create_process(admin_user(), Label::BOTTOM, 4);
-    let post_root = sys.world.bind_root(post);
-    let first = Monitor::terminate(&mut sys.world, post, post_root);
-    let second = Monitor::terminate(&mut sys.world, post, post_root);
+    let post = world.create_process(admin_user(), Label::BOTTOM, 4);
+    let post_root = world.bind_root(post);
+    let first = Monitor::terminate(world, post, post_root);
+    let second = Monitor::terminate(world, post, post_root);
     let granted_moved = trace.counter("monitor.granted") == granted_before + 1;
     let denied_moved = trace.counter("monitor.denied") == denied_before + 1;
     let verdict_recorded = trace
@@ -441,7 +301,7 @@ pub fn run_plan(plan: &FaultPlan, opts: RecoveryOpts) -> RecoveryOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mks_hw::FaultEvent;
+    use mks_hw::{FaultEvent, InjectKind};
 
     #[test]
     fn a_quiet_plan_recovers_clean() {

@@ -268,17 +268,13 @@ impl ReplayMutation {
 mod tests {
     use super::super::workload::{record_fault_run, WorkloadSpec};
     use super::*;
-    use mks_hw::FaultPlan;
 
     fn small_run() -> (Genesis, super::super::workload::RecordedRun) {
         let genesis = Genesis::kernel_small();
-        let spec = WorkloadSpec {
-            seed: 0x51,
-            ops: 6,
-            plan: FaultPlan::generate(0x51),
-            overload: false,
-        };
-        (genesis, record_fault_run(&genesis, &spec))
+        (
+            genesis,
+            record_fault_run(&genesis, &WorkloadSpec::faults(0x51)),
+        )
     }
 
     #[test]

@@ -90,20 +90,11 @@ mod tests {
     use super::super::workload::{record_fault_run, WorkloadSpec};
     use super::super::Genesis;
     use super::*;
-    use mks_hw::FaultPlan;
 
     #[test]
     fn rejects_boundary_lists_that_do_not_cover_the_log() {
         let genesis = Genesis::kernel_small();
-        let run = record_fault_run(
-            &genesis,
-            &WorkloadSpec {
-                seed: 3,
-                ops: 4,
-                plan: FaultPlan::generate(3),
-                overload: false,
-            },
-        );
+        let run = record_fault_run(&genesis, &WorkloadSpec::faults(3));
         let log = &run.sm.world().commits;
         assert!(matches!(
             TimeTravel::new(log, &run.boundaries[..run.boundaries.len() - 1]),
@@ -114,15 +105,7 @@ mod tests {
     #[test]
     fn clock_and_audit_queries_are_coherent() {
         let genesis = Genesis::kernel_small();
-        let run = record_fault_run(
-            &genesis,
-            &WorkloadSpec {
-                seed: 9,
-                ops: 16,
-                plan: FaultPlan::generate(9),
-                overload: false,
-            },
-        );
+        let run = record_fault_run(&genesis, &WorkloadSpec::faults(9));
         let log = &run.sm.world().commits;
         let tt = TimeTravel::new(log, &run.boundaries).expect("artifacts match");
 

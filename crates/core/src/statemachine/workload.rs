@@ -6,10 +6,11 @@
 //! when the `Crash` site fires) and records the boundary digest after
 //! each application. Replay never re-runs the driver: it folds the
 //! recorded log, so any hidden input the driver smuggled past the
-//! commit stream shows up as a boundary mismatch. The shapes mirror
-//! `recovery::run_plan` (mixed hierarchy/paging/denial/IPC traffic
-//! under an armed fault plan, then disarm, salvage, boot check) and
-//! E16's ladder (principals per priority class hammering a small
+//! commit stream shows up as a boundary mismatch. `drive_fault_run` is
+//! the one fault-run driver: E15's `recovery::run_plan` and E20's
+//! [`record_fault_run`] both send its mixed hierarchy/paging/denial/IPC
+//! traffic, under an armed fault plan, to their own commit sink. The
+//! ladder follows E16 (principals per priority class hammering a small
 //! machine under admission control).
 
 use mks_fs::{Acl, AclMode, UserId};
@@ -21,13 +22,14 @@ use crate::world::{admin_user, KProcId};
 
 use super::{Commit, Genesis, KernelStateMachine, Outcome, StateDigest};
 
-/// Shape of one recorded fault run.
+/// Operation boundaries every fault run attempts before a natural stop
+/// (a `Crash` event in the plan usually stops the run earlier).
+const FAULT_RUN_OPS: u64 = 32;
+
+/// Shape of one recorded fault run. The plan's seed also seeds the
+/// operation mix.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct WorkloadSpec {
-    /// Seeds the operation mix (independently of the fault plan).
-    pub seed: u64,
-    /// Operation boundaries attempted before a natural stop.
-    pub ops: u64,
     /// The fault schedule armed over the workload.
     pub plan: FaultPlan,
     /// Arm admission control (mixed priorities) under the plan.
@@ -35,11 +37,9 @@ pub struct WorkloadSpec {
 }
 
 impl WorkloadSpec {
-    /// The E15 shape: 32 ops under `FaultPlan::generate(seed)`.
+    /// The E15 shape: the mix under `FaultPlan::generate(seed)`.
     pub fn faults(seed: u64) -> WorkloadSpec {
         WorkloadSpec {
-            seed,
-            ops: 32,
             plan: FaultPlan::generate(seed),
             overload: false,
         }
@@ -49,8 +49,6 @@ impl WorkloadSpec {
     /// exhaustion-heavy plan with admission control armed.
     pub fn overload(seed: u64) -> WorkloadSpec {
         WorkloadSpec {
-            seed,
-            ops: 32,
             plan: FaultPlan::generate_overload(seed),
             overload: true,
         }
@@ -95,7 +93,8 @@ impl Recorder {
     }
 }
 
-/// Where a driver sends its commits: a recorder, or a replicated cluster.
+/// Where a driver sends its commits: a recorder, a bare state machine,
+/// or a replicated cluster.
 type Submit<'a> = &'a mut dyn FnMut(Commit) -> Outcome;
 
 /// Creates a ring-4 process for `user` at the bottom label.
@@ -128,44 +127,56 @@ fn stranger_user() -> UserId {
     UserId::new("Mallory", "Guest", "a")
 }
 
-/// Records the E15-shaped mixed workload under `spec.plan`: principals
-/// and probe, priming ticks, (optionally) admission arming, then the
-/// seeded six-way operation mix with the `Crash` site consulted at
-/// every boundary, and finally the recovery tail — disarm, salvage,
-/// boot check, and a metering read that exports the log digest.
-pub fn record_fault_run(genesis: &Genesis, spec: &WorkloadSpec) -> RecordedRun {
-    let mut rec = Recorder::new(genesis);
-    let mut mix = MixedWorkload::setup(spec.seed, &mut |c| rec.commit(c));
-    if spec.overload {
-        rec.commit(Commit::AdmissionEnable {
+/// The one fault-run driver: principals and probe, priming ticks,
+/// (optionally) admission arming with the admin above the stranger in
+/// the shed order, then the seeded six-way operation mix under `plan`
+/// with the `Crash` site consulted at every boundary — so a plan
+/// chooses exactly which operation the kill interrupts — then settling
+/// ticks and disarm. Returns the admin pid, whether the run crashed,
+/// and the operations executed.
+pub(crate) fn drive_fault_run(
+    plan: &FaultPlan,
+    overload: bool,
+    submit: Submit,
+) -> (KProcId, bool, u64) {
+    let mut mix = MixedWorkload::setup(plan.seed, submit);
+    if overload {
+        submit(Commit::AdmissionEnable {
             config: PressureConfig::default(),
         });
-        rec.commit(Commit::SetPriority {
+        submit(Commit::SetPriority {
             pid: mix.admin,
             priority: Priority::Interactive,
         });
-        rec.commit(Commit::SetPriority {
+        submit(Commit::SetPriority {
             pid: mix.stranger,
             priority: Priority::Background,
         });
     }
-    rec.commit(Commit::ArmPlan {
-        plan: spec.plan.clone(),
-    });
+    submit(Commit::ArmPlan { plan: plan.clone() });
 
     let mut crashed = false;
     let mut ops_run = 0u64;
-    for i in 0..spec.ops {
-        if rec.commit(Commit::CrashPoll) == Outcome::Fired(true) {
+    for i in 0..FAULT_RUN_OPS {
+        if submit(Commit::CrashPoll) == Outcome::Fired(true) {
             crashed = true;
             break;
         }
         ops_run += 1;
-        mix.step(i, &mut |c| rec.commit(c));
+        mix.step(i, submit);
     }
-    rec.commit(Commit::Tick { times: 4 });
-    rec.commit(Commit::Disarm);
-    let (salvage_problems, boot_divergence) = recovery_tail(mix.admin, &mut |c| rec.commit(c));
+    submit(Commit::Tick { times: 4 });
+    submit(Commit::Disarm);
+    (mix.admin, crashed, ops_run)
+}
+
+/// Records the fault run under `spec` and the recovery tail — salvage,
+/// boot check, and a metering read that exports the log digest.
+pub fn record_fault_run(genesis: &Genesis, spec: &WorkloadSpec) -> RecordedRun {
+    let mut rec = Recorder::new(genesis);
+    let submit = &mut |c| rec.commit(c);
+    let (admin, crashed, ops_run) = drive_fault_run(&spec.plan, spec.overload, submit);
+    let (salvage_problems, boot_divergence) = recovery_tail(admin, submit);
 
     RecordedRun {
         sm: rec.sm,
@@ -177,8 +188,8 @@ pub fn record_fault_run(genesis: &Genesis, spec: &WorkloadSpec) -> RecordedRun {
     }
 }
 
-/// The E15-shaped mixed workload as a commit source, shared by the
-/// recorded fault runs and the replicated cluster driver: each call
+/// The E15-shaped mixed workload as a commit source, shared by
+/// [`drive_fault_run`] and the replicated cluster driver: each call
 /// hands its commits to `submit` and reads back the outcome.
 pub(crate) struct MixedWorkload {
     pub(crate) admin: KProcId,
@@ -191,7 +202,9 @@ pub(crate) struct MixedWorkload {
 
 impl MixedWorkload {
     /// Creates the administrator and the stranger with their root
-    /// bindings and the probe segment, then primes the clock.
+    /// bindings and the probe segment, then primes the clock. The
+    /// administrator does the work; the stranger provides denied
+    /// references, since the probe is admin-only.
     pub(crate) fn setup(seed: u64, submit: Submit) -> MixedWorkload {
         let admin = spawn(submit, admin_user());
         let root = submit(Commit::BindRoot { pid: admin })
@@ -256,6 +269,8 @@ impl MixedWorkload {
                 });
             }
             2 => {
+                // Paging churn through the monitor: the SlowDisk/FailDisk
+                // sites fire inside the transfers this provokes.
                 let offset = rng.below(64);
                 submit(Commit::Write {
                     pid: admin,
@@ -270,6 +285,8 @@ impl MixedWorkload {
                 });
             }
             3 => {
+                // A denied reference: audit-log traffic through the
+                // monitor's timestamp (SkewClock) site.
                 submit(Commit::Initiate {
                     pid: self.stranger,
                     dir: self.sroot,
@@ -277,6 +294,8 @@ impl MixedWorkload {
                 });
             }
             4 => {
+                // The genesis daemon gives the DropWakeup site something
+                // real to starve.
                 submit(Commit::Wakeup { daemon: 0 });
                 submit(Commit::Tick { times: 1 });
             }

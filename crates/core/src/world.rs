@@ -45,6 +45,24 @@ pub enum KstState {
     Legacy(Box<LegacyKst>),
 }
 
+impl KstState {
+    /// The kernel bindings, whichever configuration wraps them.
+    pub(crate) fn core(&self) -> &KernelKst {
+        match self {
+            KstState::Kernel(k) => k,
+            KstState::Legacy(k) => &k.core,
+        }
+    }
+
+    /// Mutable access to the kernel bindings.
+    pub(crate) fn core_mut(&mut self) -> &mut KernelKst {
+        match self {
+            KstState::Kernel(k) => k,
+            KstState::Legacy(k) => &mut k.core,
+        }
+    }
+}
+
 /// Kernel-side state of one process.
 pub struct ProcState {
     /// The logged-in principal.
@@ -358,11 +376,7 @@ impl KernelWorld {
     /// number (done implicitly at process creation in real Multics; an
     /// explicit call here so tests and examples read naturally).
     pub fn bind_root(&mut self, pid: KProcId) -> mks_hw::SegNo {
-        let proc = self.proc_mut(pid);
-        match &mut proc.kst {
-            KstState::Kernel(k) => mks_fs::kst::bind_root(k),
-            KstState::Legacy(k) => k.core.bind(FileSystem::ROOT, true),
-        }
+        mks_fs::kst::bind_root(self.proc_mut(pid).kst.core_mut())
     }
 
     /// Applies `f` to every live process record (kernel-internal; used by

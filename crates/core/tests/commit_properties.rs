@@ -5,7 +5,6 @@
 //! snapshot/restore round-trips at *arbitrary* prefixes — not just the
 //! midpoints the integration gate picks.
 
-use mks_hw::FaultPlan;
 use mks_kernel::statemachine::workload::{record_fault_run, WorkloadSpec};
 use mks_kernel::statemachine::{
     reduce, replay_differential, restore, snapshot_at, Commit, CommitLog, Genesis,
@@ -29,15 +28,12 @@ fn arb_commit() -> impl Strategy<Value = Commit> {
     ]
 }
 
-fn recorded(seed: u64, ops: u64) -> (Genesis, mks_kernel::statemachine::workload::RecordedRun) {
+fn recorded(seed: u64) -> (Genesis, mks_kernel::statemachine::workload::RecordedRun) {
     let genesis = Genesis::kernel_small();
-    let spec = WorkloadSpec {
-        seed,
-        ops,
-        plan: FaultPlan::generate(seed),
-        overload: false,
-    };
-    (genesis, record_fault_run(&genesis, &spec))
+    (
+        genesis,
+        record_fault_run(&genesis, &WorkloadSpec::faults(seed)),
+    )
 }
 
 proptest! {
@@ -81,8 +77,8 @@ proptest! {
     /// twice produces byte-identical machines, and both equal the live
     /// machine at every commit boundary.
     #[test]
-    fn reduce_is_a_pure_fold(seed in any::<u64>(), ops in 2u64..10) {
-        let (genesis, run) = recorded(seed, ops);
+    fn reduce_is_a_pure_fold(seed in any::<u64>()) {
+        let (genesis, run) = recorded(seed);
         let log = &run.sm.world().commits;
         let once = reduce(&genesis, log).expect("honest log reduces");
         let twice = reduce(&genesis, log).expect("and reduces again");
@@ -100,10 +96,9 @@ proptest! {
     #[test]
     fn snapshot_restore_round_trips_at_arbitrary_prefixes(
         seed in any::<u64>(),
-        ops in 2u64..8,
         cut in any::<u64>(),
     ) {
-        let (genesis, run) = recorded(seed, ops);
+        let (genesis, run) = recorded(seed);
         let log = &run.sm.world().commits;
         let upto = cut % (log.len() + 1);
         let snap = snapshot_at(&genesis, log, upto).expect("in-range prefix snapshots");

@@ -61,6 +61,24 @@ fn a_thousand_seeded_plans_hold_every_invariant() {
     assert!(kinds.len() >= 6, "only {kinds:?} repair arms reached");
 }
 
+/// The recovery outcomes of 256 seeds, plain and under overload, are
+/// pinned by one digest over their `Debug` renderings: any change to what
+/// a fault run does, or to what recovery observes, moves it.
+#[test]
+fn recovery_outcomes_are_pinned() {
+    let overload = RecoveryOpts {
+        overload: true,
+        ..RecoveryOpts::default()
+    };
+    let mut h = mks_trace::Fnv64::default();
+    for seed in 1..=256u64 {
+        let a = run_plan(&FaultPlan::generate(seed), RecoveryOpts::default());
+        let b = run_plan(&FaultPlan::generate_overload(seed), overload);
+        writeln!(h, "{a:?}\n{b:?}");
+    }
+    assert_eq!(h.finish(), 0xb6e1_9d97_391d_4be4);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
