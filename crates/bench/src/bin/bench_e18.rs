@@ -1,6 +1,6 @@
 //! The E18 perf gate: times the hot paths in host nanoseconds, writes
 //! `target/BENCH_E18.json`, and fails (exit 1) if any path regressed
-//! more than the tolerance against the committed baseline at
+//! more than [`TOLERANCE`] against the committed baseline at
 //! `results/BENCH_E18.json`.
 //!
 //! ```text
@@ -8,21 +8,19 @@
 //! bench_e18 --write-baseline  measure and (re)seed results/BENCH_E18.json
 //! ```
 //!
-//! A violation must survive re-measurement to be believed
-//! (`MKS_BENCH_E18_ATTEMPTS`, default 3): a host-noise phase deep
-//! enough to fool every calibration yardstick ends by the next attempt
-//! and the min-merged report recovers, while a real regression is in
-//! the code and regresses every attempt alike.
-//! `MKS_BENCH_E18_TOLERANCE` overrides the 25% default — CI runners
-//! with noisy neighbours can widen it without editing the workflow's
-//! gate logic.
+//! A violation must survive re-measurement to be believed (up to
+//! [`ATTEMPTS`] measurements): a host-noise phase deep enough to fool
+//! every calibration yardstick ends by the next attempt and the
+//! min-merged report recovers, while a real regression is in the code
+//! and regresses every attempt alike. Every attempt's violations are
+//! printed with their raw and per-yardstick percentages, so a log shows
+//! why the gate passed or failed.
 
 use std::path::Path;
 use std::process::ExitCode;
 
 use mks_bench::perf::{
-    attempts_from_env, gate, measure, merge_min, parse_baseline, to_json, tolerance_from_env,
-    PerfConfig, PerfReport,
+    gate, measure, merge_min, parse_baseline, to_json, PerfConfig, PerfReport, ATTEMPTS, TOLERANCE,
 };
 
 const BASELINE: &str = "results/BENCH_E18.json";
@@ -38,7 +36,7 @@ fn print_report(report: &PerfReport) {
         report.pop_lo.ilog10(),
         report.ns_per_op_hi,
         report.pop_hi.ilog10(),
-        report.slope()
+        report.slope_over_rounds
     );
     println!(
         "  calibration: {:.1} ns/op memory, {:.1} ns/op cpu (the gate's machine-speed yardsticks)",
@@ -74,20 +72,22 @@ fn main() -> ExitCode {
         None
     };
 
-    let tolerance = tolerance_from_env();
     let mut violations = Vec::new();
     if let Some(baseline) = &baseline {
-        violations = gate(&report, baseline, tolerance);
-        for attempt in 1..attempts_from_env() {
+        violations = gate(&report, baseline, TOLERANCE);
+        for attempt in 1..ATTEMPTS {
             if violations.is_empty() {
                 break;
             }
             eprintln!(
-                "attempt {attempt} saw {} violation(s); re-measuring to rule out host noise",
+                "attempt {attempt} saw {} violation(s); re-measuring to rule out host noise:",
                 violations.len()
             );
+            for v in &violations {
+                eprintln!("  {v}");
+            }
             merge_min(&mut report, &measure(PerfConfig::standard()));
-            violations = gate(&report, baseline, tolerance);
+            violations = gate(&report, baseline, TOLERANCE);
         }
     }
 
@@ -102,7 +102,7 @@ fn main() -> ExitCode {
     if violations.is_empty() {
         println!(
             "perf gate: every hot path within {:.0}% of the committed baseline",
-            tolerance * 100.0
+            TOLERANCE * 100.0
         );
         ExitCode::SUCCESS
     } else {

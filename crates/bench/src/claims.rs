@@ -18,6 +18,8 @@
 
 use std::fmt;
 
+use mks_trace::json::Value;
+
 use crate::report::Table;
 
 /// The machine-checked outcome of one claim.
@@ -199,31 +201,21 @@ impl ClaimShape {
         }
     }
 
-    fn json_params(&self) -> String {
+    /// The shape's parameters as `(JSON key, value)` pairs.
+    fn params(&self) -> Vec<(&'static str, f64)> {
         match *self {
             ClaimShape::FactorAtLeast { paper, accept } => {
-                format!(
-                    "\"paper\":{},\"accept\":{}",
-                    json_num(paper),
-                    json_num(accept)
-                )
+                vec![("paper", paper), ("accept", accept)]
             }
-            ClaimShape::ParityWithin { tolerance } => {
-                format!("\"tolerance\":{}", json_num(tolerance))
-            }
+            ClaimShape::ParityWithin { tolerance } => vec![("tolerance", tolerance)],
             ClaimShape::FractionNear {
                 paper,
                 tol,
                 accept_tol,
-            } => format!(
-                "\"paper\":{},\"tol\":{},\"accept_tol\":{}",
-                json_num(paper),
-                json_num(tol),
-                json_num(accept_tol)
-            ),
-            ClaimShape::ExactCount { expect } => format!("\"expect\":{expect}"),
-            ClaimShape::AtLeast { min } => format!("\"min\":{}", json_num(min)),
-            ClaimShape::AtMost { max } => format!("\"max\":{}", json_num(max)),
+            } => vec![("paper", paper), ("tol", tol), ("accept_tol", accept_tol)],
+            ClaimShape::ExactCount { expect } => vec![("expect", expect as f64)],
+            ClaimShape::AtLeast { min } => vec![("min", min)],
+            ClaimShape::AtMost { max } => vec![("max", max)],
         }
     }
 }
@@ -278,39 +270,24 @@ impl ClaimResult {
         self
     }
 
+    /// One compact JSON object; panics on a non-finite number.
     fn to_json(&self) -> String {
-        let json_escape = |s: &str| {
-            let mut out = String::with_capacity(s.len());
-            mks_trace::json::escape(s, &mut out);
-            out
-        };
-        format!(
-            "{{\"id\":\"{}\",\"experiment\":\"{}\",\"paper_quote\":\"{}\",\
-             \"shape\":{{\"kind\":\"{}\",{}}},\"measured\":{},\
-             \"measured_desc\":\"{}\",\"verdict\":\"{}\",\"gap_note\":{}}}",
-            json_escape(&self.id),
-            self.experiment,
-            json_escape(self.paper_quote),
-            self.expected_shape.kind(),
-            self.expected_shape.json_params(),
-            json_num(self.measured),
-            json_escape(&self.measured_desc),
-            self.verdict.tag(),
-            match self.gap_note {
-                Some(n) => format!("\"{}\"", json_escape(n)),
-                None => "null".to_string(),
-            }
-        )
-    }
-}
-
-/// Formats an `f64` as a JSON number (finite; integers without a point).
-fn json_num(x: f64) -> String {
-    assert!(x.is_finite(), "claim measurements must be finite");
-    if x == x.trunc() && x.abs() < 1e15 {
-        format!("{}", x as i64)
-    } else {
-        format!("{x}")
+        let text = |s: &str| Value::Str(s.to_string());
+        let params = self.expected_shape.params().into_iter();
+        let shape = [("kind", text(self.expected_shape.kind()))]
+            .into_iter()
+            .chain(params.map(|(k, x)| (k, Value::Float(x))));
+        Value::obj([
+            ("id", text(&self.id)),
+            ("experiment", text(self.experiment)),
+            ("paper_quote", text(self.paper_quote)),
+            ("shape", Value::obj(shape)),
+            ("measured", Value::Float(self.measured)),
+            ("measured_desc", text(&self.measured_desc)),
+            ("verdict", text(self.verdict.tag())),
+            ("gap_note", self.gap_note.map_or(Value::Null, text)),
+        ])
+        .emit()
     }
 }
 

@@ -20,19 +20,9 @@ fn activate_trace(w: &mut VmWorld, trace: &RefTrace) {
 }
 
 /// Runs `trace` under the **sequential** design; every `write_every`-th
-/// reference dirties its page.
-pub fn run_sequential(
-    frames: usize,
-    bulk: usize,
-    trace: &RefTrace,
-    write_every: usize,
-) -> (VmStats, u64) {
-    let (stats, cycles, _) = run_sequential_metered(frames, bulk, trace, write_every);
-    (stats, cycles)
-}
-
-/// [`run_sequential`], additionally returning the run's flight-recorder
-/// snapshot (counters, histograms, per-layer cycle totals).
+/// reference dirties its page. Returns the fault statistics, the cycles
+/// burned, and the run's flight-recorder snapshot (counters,
+/// histograms, per-layer cycle totals).
 pub fn run_sequential_metered(
     frames: usize,
     bulk: usize,
@@ -54,20 +44,8 @@ pub fn run_sequential_metered(
 }
 
 /// Runs `trace` under the **parallel** design with `nprocs` trace
-/// processes over the traffic controller.
-pub fn run_parallel(
-    frames: usize,
-    bulk: usize,
-    trace: &RefTrace,
-    write_every: usize,
-    nprocs: usize,
-) -> (VmStats, u64) {
-    let (stats, cycles, _) = run_parallel_metered(frames, bulk, trace, write_every, nprocs);
-    (stats, cycles)
-}
-
-/// [`run_parallel`], additionally returning the run's flight-recorder
-/// snapshot.
+/// processes over the traffic controller; returns what
+/// [`run_sequential_metered`] does.
 pub fn run_parallel_metered(
     frames: usize,
     bulk: usize,
@@ -84,23 +62,8 @@ pub fn run_parallel_metered(
     run_parallel_with_metered(frames, bulk, trace, write_every, nprocs, cfg)
 }
 
-/// [`run_parallel`] with explicit freeing-daemon watermarks (the A1
-/// ablation sweeps these).
-pub fn run_parallel_with(
-    frames: usize,
-    bulk: usize,
-    trace: &RefTrace,
-    write_every: usize,
-    nprocs: usize,
-    cfg: ParallelConfig,
-) -> (VmStats, u64) {
-    let (stats, cycles, _) =
-        run_parallel_with_metered(frames, bulk, trace, write_every, nprocs, cfg);
-    (stats, cycles)
-}
-
-/// [`run_parallel_with`], additionally returning the run's
-/// flight-recorder snapshot.
+/// [`run_parallel_metered`] with explicit freeing-daemon watermarks
+/// (the A1 ablation sweeps these).
 pub fn run_parallel_with_metered(
     frames: usize,
     bulk: usize,
@@ -330,8 +293,8 @@ mod tests {
             pages_per_segment: 8,
             ..TraceConfig::default()
         });
-        let (seq, _) = run_sequential(8, 64, &trace, 4);
-        let (par, _) = run_parallel(8, 64, &trace, 4, 2);
+        let (seq, ..) = run_sequential_metered(8, 64, &trace, 4);
+        let (par, ..) = run_parallel_metered(8, 64, &trace, 4, 2);
         assert!(seq.faults > 0 && par.faults > 0);
         assert!(seq.mean_fault_steps() > par.mean_fault_steps());
     }

@@ -12,7 +12,7 @@ use mks_vm::{ParallelConfig, RefTrace, TraceConfig, VmStats};
 
 use super::ExperimentOutput;
 use crate::claims::{ClaimResult, ClaimShape};
-use crate::drivers::run_parallel_with;
+use crate::drivers::run_parallel_with_metered;
 use crate::report::{banner, Table};
 
 const QUOTE: &str = "one process runs in a loop making sure that some small number of free primary memory blocks always exist";
@@ -84,7 +84,7 @@ pub fn measure() -> Measurement {
                 bulk_low: 4,
                 bulk_target: 8,
             };
-            let (stats, _) = run_parallel_with(FRAMES, 64, &trace, 3, 3, cfg);
+            let (stats, ..) = run_parallel_with_metered(FRAMES, 64, &trace, 3, 3, cfg);
             SweepPoint { low, target, stats }
         })
         .collect();

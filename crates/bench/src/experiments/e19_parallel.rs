@@ -310,7 +310,7 @@ fn committed_host_speedup() -> (f64, f64, bool) {
     let parallel = std::fs::read_to_string(path)
         .ok()
         .and_then(|json| parse_baseline(&json).ok())
-        .and_then(|b| b.parallel);
+        .map(|b| b.parallel);
     match parallel {
         Some(p) => (p.speedup, p.calibration_speedup, true),
         None => (0.0, 0.0, false),

@@ -14,7 +14,8 @@
 //! cargo run -p mks-bench --bin exp_all
 //! ```
 //!
-//! and the Criterion benches with `cargo bench -p mks-bench`.
+//! and the E18 host-time perf gate with
+//! `cargo run --release -p mks-bench --bin bench_e18`.
 //!
 //! The measurement logic lives in [`experiments`] — each binary is a thin
 //! printing wrapper — and every paper claim is encoded as a machine-checked

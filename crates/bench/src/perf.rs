@@ -7,7 +7,7 @@
 //! costs, and whether a change regressed them. The `bench_e18` binary
 //! measures, writes a machine-readable report, and (when a committed
 //! baseline exists at `results/BENCH_E18.json`) fails if any path got
-//! more than [`tolerance_from_env`] slower.
+//! more than [`TOLERANCE`] slower.
 //!
 //! Timings take the **minimum over rounds**: the minimum is the run
 //! least disturbed by the host, which is the right estimator when the
@@ -53,6 +53,7 @@ use mks_kernel::par::run_lanes;
 use mks_kernel::world::KProcId;
 use mks_kernel::{Commit, CommitLog, Monitor};
 use mks_procs::{Effects, FnJob, SchedMode, Step, TcConfig, TrafficController};
+use mks_trace::json::{self, Value};
 
 use crate::scale::{build_world, run_traffic, PopulationModel};
 
@@ -112,13 +113,6 @@ pub struct PerfReport {
     pub calibration_cpu_ns: f64,
     /// The E19 host-parallel lane measurement.
     pub par: ParallelTiming,
-}
-
-impl PerfReport {
-    /// The scaling slope (see [`PerfReport::slope_over_rounds`]).
-    pub fn slope(&self) -> f64 {
-        self.slope_over_rounds
-    }
 }
 
 /// Measurement scale, so tests can run a miniature of the real thing.
@@ -333,6 +327,18 @@ fn measure_parallel(cfg: &PerfConfig) -> ParallelTiming {
     }
 }
 
+/// The timed hot paths, in measurement and report order.
+const PATH_NAMES: [&str; 8] = [
+    "acl_check_indexed",
+    "acl_check_linear_spec",
+    "dir_lookup_indexed",
+    "monitor_read_warm",
+    "gate_call_metering",
+    "tc_worksteal_dispatch",
+    "tc_worksteal_steal",
+    "commit_log_append",
+];
+
 /// Measures every hot path and the scaling slope at `cfg`'s scale.
 ///
 /// Every round times the calibration and all five paths back to back,
@@ -426,17 +432,7 @@ pub fn measure(cfg: PerfConfig) -> PerfReport {
         tc_starved.stats().steals > 0,
         "the starved shape must actually exercise the steal path"
     );
-    let names = [
-        "acl_check_indexed",
-        "acl_check_linear_spec",
-        "dir_lookup_indexed",
-        "monitor_read_warm",
-        "gate_call_metering",
-        "tc_worksteal_dispatch",
-        "tc_worksteal_steal",
-        "commit_log_append",
-    ];
-    let paths = names
+    let paths = PATH_NAMES
         .into_iter()
         .zip(best)
         .map(|(name, ns_per_op)| PathTiming { name, ns_per_op })
@@ -485,45 +481,52 @@ fn time_slope_round(population: u64, ops: u64, round: u32) -> f64 {
     t0.elapsed().as_nanos() as f64 / stats.ops.max(1) as f64
 }
 
+/// The `schema` tag of a `BENCH_E18.json` document.
+const SCHEMA: &str = "mks-bench-e18/1";
+
 /// Renders the report as the `BENCH_E18.json` document.
 pub fn to_json(r: &PerfReport) -> String {
-    let mut s = String::new();
-    s.push_str("{\n  \"schema\": \"mks-bench-e18/1\",\n");
-    s.push_str(&format!("  \"population\": {},\n", r.population));
-    s.push_str(&format!(
-        "  \"calibration_ns_per_op\": {:.2},\n",
-        r.calibration_ns
-    ));
-    s.push_str(&format!(
-        "  \"calibration_cpu_ns_per_op\": {:.2},\n",
-        r.calibration_cpu_ns
-    ));
-    s.push_str("  \"paths\": [\n");
-    for (i, p) in r.paths.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"name\": \"{}\", \"ns_per_op\": {:.2}}}{}\n",
-            p.name,
-            p.ns_per_op,
-            if i + 1 < r.paths.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ],\n");
-    s.push_str(&format!(
-        "  \"parallel\": {{\"lanes\": {}, \"threads\": {}, \"population\": {}, \
-         \"speedup\": {:.4}, \"calibration_speedup\": {:.4}}},\n",
-        r.par.lanes, r.par.threads, r.par.population, r.par.speedup, r.par.calibration_speedup
-    ));
-    s.push_str(&format!(
-        "  \"scaling\": {{\"pop_lo\": {}, \"pop_hi\": {}, \"ns_per_op_lo\": {:.2}, \
-         \"ns_per_op_hi\": {:.2}, \"slope\": {:.4}}}\n",
-        r.pop_lo,
-        r.pop_hi,
-        r.ns_per_op_lo,
-        r.ns_per_op_hi,
-        r.slope()
-    ));
-    s.push_str("}\n");
-    s
+    let count = |n: u64| Value::Num(u128::from(n));
+    let paths = r.paths.iter().map(|p| {
+        Value::obj([
+            ("name", Value::Str(p.name.to_string())),
+            ("ns_per_op", Value::Float(p.ns_per_op)),
+        ])
+    });
+    let doc = Value::obj([
+        ("schema", Value::Str(SCHEMA.to_string())),
+        ("population", count(r.population)),
+        ("calibration_ns_per_op", Value::Float(r.calibration_ns)),
+        (
+            "calibration_cpu_ns_per_op",
+            Value::Float(r.calibration_cpu_ns),
+        ),
+        ("paths", Value::Arr(paths.collect())),
+        (
+            "parallel",
+            Value::obj([
+                ("lanes", count(r.par.lanes as u64)),
+                ("threads", count(r.par.threads as u64)),
+                ("population", count(r.par.population)),
+                ("speedup", Value::Float(r.par.speedup)),
+                (
+                    "calibration_speedup",
+                    Value::Float(r.par.calibration_speedup),
+                ),
+            ]),
+        ),
+        (
+            "scaling",
+            Value::obj([
+                ("pop_lo", count(r.pop_lo)),
+                ("pop_hi", count(r.pop_hi)),
+                ("ns_per_op_lo", Value::Float(r.ns_per_op_lo)),
+                ("ns_per_op_hi", Value::Float(r.ns_per_op_hi)),
+                ("slope", Value::Float(r.slope_over_rounds)),
+            ]),
+        ),
+    ]);
+    doc.emit() + "\n"
 }
 
 /// The baseline's committed parallel section.
@@ -535,8 +538,8 @@ pub struct BaselineParallel {
     pub calibration_speedup: f64,
 }
 
-/// A parsed baseline: per-path ns, the calibration yardstick, the
-/// scaling slope, and (since E19) the host-parallel speedup section.
+/// A parsed baseline: per-path ns, the calibration yardsticks, the
+/// scaling slope, and the host-parallel speedup section.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Baseline {
     /// `(path name, ns_per_op)` pairs in document order.
@@ -547,61 +550,48 @@ pub struct Baseline {
     pub calibration_cpu_ns: f64,
     /// The committed scaling slope.
     pub slope: f64,
-    /// The committed parallel section (absent in pre-E19 baselines).
-    pub parallel: Option<BaselineParallel>,
+    /// The committed parallel section.
+    pub parallel: BaselineParallel,
 }
 
-/// Parses a `BENCH_E18.json` document (the subset [`to_json`] emits).
-pub fn parse_baseline(json: &str) -> Result<Baseline, String> {
-    if !json.contains("\"schema\": \"mks-bench-e18/1\"") {
-        return Err("not a mks-bench-e18/1 document".into());
+/// Parses a `BENCH_E18.json` document.
+pub fn parse_baseline(text: &str) -> Result<Baseline, String> {
+    let doc = json::parse(text).map_err(|e| e.to_string())?;
+    if doc.get("schema").and_then(Value::as_str) != Some(SCHEMA) {
+        return Err(format!("not a {SCHEMA} document"));
     }
-    let mut paths = Vec::new();
-    let mut rest = json;
-    while let Some(i) = rest.find("{\"name\": \"") {
-        let after = &rest[i + 10..];
-        let name_end = after.find('"').ok_or("unterminated path name")?;
-        let name = after[..name_end].to_string();
-        let after_name = &after[name_end..];
-        let ns = field_after(after_name, "\"ns_per_op\": ")?;
-        paths.push((name, ns));
-        rest = after_name;
-    }
+    let num = |v: &Value, key: &str| {
+        v.get(key)
+            .and_then(Value::as_f64)
+            .ok_or_else(|| format!("missing number {key}"))
+    };
+    let section = |key: &str| doc.get(key).ok_or_else(|| format!("no {key} object"));
+    let paths = section("paths")?
+        .as_arr()
+        .ok_or("paths is not an array")?
+        .iter()
+        .map(|p| {
+            let name = p
+                .get("name")
+                .and_then(Value::as_str)
+                .ok_or("unnamed path")?;
+            Ok((name.to_string(), num(p, "ns_per_op")?))
+        })
+        .collect::<Result<Vec<_>, String>>()?;
     if paths.is_empty() {
         return Err("no timed paths in baseline".into());
     }
-    let calibration_ns = field_after(json, "\"calibration_ns_per_op\": ")?;
-    let calibration_cpu_ns = field_after(json, "\"calibration_cpu_ns_per_op\": ")?;
-    let scaling = json
-        .find("\"scaling\"")
-        .map(|i| &json[i..])
-        .ok_or("no scaling object")?;
-    let slope = field_after(scaling, "\"slope\": ")?;
-    let parallel = json.find("\"parallel\"").map(|i| &json[i..]).and_then(|p| {
-        Some(BaselineParallel {
-            speedup: field_after(p, "\"speedup\": ").ok()?,
-            calibration_speedup: field_after(p, "\"calibration_speedup\": ").ok()?,
-        })
-    });
+    let parallel = section("parallel")?;
     Ok(Baseline {
         paths,
-        calibration_ns,
-        calibration_cpu_ns,
-        slope,
-        parallel,
+        calibration_ns: num(&doc, "calibration_ns_per_op")?,
+        calibration_cpu_ns: num(&doc, "calibration_cpu_ns_per_op")?,
+        slope: num(section("scaling")?, "slope")?,
+        parallel: BaselineParallel {
+            speedup: num(parallel, "speedup")?,
+            calibration_speedup: num(parallel, "calibration_speedup")?,
+        },
     })
-}
-
-/// Reads the `f64` immediately following `key` in `s`.
-fn field_after(s: &str, key: &str) -> Result<f64, String> {
-    let i = s.find(key).ok_or_else(|| format!("missing {key}"))?;
-    let v = &s[i + key.len()..];
-    let end = v
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-'))
-        .unwrap_or(v.len());
-    v[..end]
-        .parse::<f64>()
-        .map_err(|e| format!("bad number after {key}: {e}"))
 }
 
 /// Compares a fresh report against the committed baseline. Returns one
@@ -646,13 +636,12 @@ pub fn gate(current: &PerfReport, baseline: &Baseline, tolerance: f64) -> Vec<St
     // Flatness (slope ~1.0) is the gated property; a baseline that
     // happened to dip below flat must not tighten the bar, so the
     // comparison floor is 1.0.
-    let slope_ratio = current.slope() / baseline.slope.max(1.0);
+    let slope_ratio = current.slope_over_rounds / baseline.slope.max(1.0);
     if slope_ratio > 1.0 + tolerance {
         violations.push(format!(
             "scaling slope: {:.3} vs baseline {:.3} — per-op cost is no longer flat in the \
              population",
-            current.slope(),
-            baseline.slope
+            current.slope_over_rounds, baseline.slope
         ));
     }
     // Host speedup is bigger-is-better, and it saturates at the host's
@@ -660,17 +649,16 @@ pub fn gate(current: &PerfReport, baseline: &Baseline, tolerance: f64) -> Vec<St
     // host topology, not a regression. Below the bar, falling out of
     // the baseline band (scaled by how much parallelism the host lost
     // relative to the baseline host) is a lost-parallelism regression.
-    if let Some(bp) = baseline.parallel {
-        let host_shift =
-            (current.par.calibration_speedup / bp.calibration_speedup.max(0.01)).clamp(0.25, 4.0);
-        let floor = bp.speedup * host_shift / (1.0 + tolerance);
-        if current.par.speedup < floor && current.par.speedup < 1.5 {
-            violations.push(format!(
-                "parallel speedup: {:.2}x vs baseline {:.2}x (host-parallelism shift {:.2}) — \
-                 the lane fleet lost its host-side speedup",
-                current.par.speedup, bp.speedup, host_shift
-            ));
-        }
+    let bp = baseline.parallel;
+    let host_shift =
+        (current.par.calibration_speedup / bp.calibration_speedup.max(0.01)).clamp(0.25, 4.0);
+    let floor = bp.speedup * host_shift / (1.0 + tolerance);
+    if current.par.speedup < floor && current.par.speedup < 1.5 {
+        violations.push(format!(
+            "parallel speedup: {:.2}x vs baseline {:.2}x (host-parallelism shift {:.2}) — \
+             the lane fleet lost its host-side speedup",
+            current.par.speedup, bp.speedup, host_shift
+        ));
     }
     violations
 }
@@ -700,25 +688,13 @@ pub fn merge_min(report: &mut PerfReport, next: &PerfReport) {
         .max(next.par.calibration_speedup);
 }
 
-/// The gate's tolerance: `MKS_BENCH_E18_TOLERANCE` (a fraction, e.g.
-/// `0.25`) or the default 25%.
-pub fn tolerance_from_env() -> f64 {
-    std::env::var("MKS_BENCH_E18_TOLERANCE")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-        .filter(|t| t.is_finite() && *t >= 0.0)
-        .unwrap_or(0.25)
-}
+/// The gate's tolerance: a path may run at most 25% slower than the
+/// committed baseline.
+pub const TOLERANCE: f64 = 0.25;
 
-/// How many measurement attempts the gate may take before believing a
-/// violation: `MKS_BENCH_E18_ATTEMPTS` or the default 3. Minimum 1.
-pub fn attempts_from_env() -> u32 {
-    std::env::var("MKS_BENCH_E18_ATTEMPTS")
-        .ok()
-        .and_then(|v| v.parse::<u32>().ok())
-        .unwrap_or(3)
-        .max(1)
-}
+/// How many measurement attempts the gate takes before believing a
+/// violation (see [`merge_min`]).
+pub const ATTEMPTS: u32 = 3;
 
 #[cfg(test)]
 mod tests {
@@ -761,26 +737,17 @@ mod tests {
         assert_eq!(b.paths.len(), r.paths.len());
         for (p, (name, ns)) in r.paths.iter().zip(&b.paths) {
             assert_eq!(p.name, name);
-            assert!((p.ns_per_op - ns).abs() < 0.01);
+            assert_eq!(p.ns_per_op, *ns, "floats round-trip exactly");
         }
-        assert!((b.slope - 1.04).abs() < 0.001);
-        let bp = b.parallel.expect("parallel section parses");
-        assert!((bp.speedup - 2.0).abs() < 0.001);
-        assert!((bp.calibration_speedup - 3.0).abs() < 0.001);
-    }
-
-    #[test]
-    fn pre_e19_baselines_still_parse() {
-        let r = sample_report();
-        let json = to_json(&r);
-        let start = json.find("  \"parallel\"").unwrap();
-        let end = start + json[start..].find('\n').unwrap() + 1;
-        let stripped = format!("{}{}", &json[..start], &json[end..]);
-        let b = parse_baseline(&stripped).expect("old-schema baseline parses");
-        assert!(b.parallel.is_none());
-        assert!(
-            gate(&r, &b, 0.25).is_empty(),
-            "no parallel gate without one"
+        assert_eq!(b.slope, 1.04);
+        assert_eq!(b.calibration_ns, 20.0);
+        assert_eq!(b.calibration_cpu_ns, 10.0);
+        assert_eq!(
+            b.parallel,
+            BaselineParallel {
+                speedup: 2.0,
+                calibration_speedup: 3.0
+            }
         );
     }
 
@@ -877,10 +844,46 @@ mod tests {
         for p in &r.paths {
             assert!(p.ns_per_op > 0.0, "{} timed", p.name);
         }
-        assert!(r.slope() > 0.0);
+        assert!(r.slope_over_rounds > 0.0);
         assert!(r.par.speedup > 0.0 && r.par.calibration_speedup > 0.0);
         let b = parse_baseline(&to_json(&r)).unwrap();
         assert!(gate(&r, &b, 0.25).is_empty());
+    }
+
+    #[test]
+    fn the_committed_baseline_catches_each_injected_2x_regression() {
+        let text = include_str!("../../../results/BENCH_E18.json");
+        let base = parse_baseline(text).expect("committed baseline parses");
+        // A report that reproduces the baseline exactly, path for path.
+        let mut r = sample_report();
+        r.paths = base
+            .paths
+            .iter()
+            .map(|(name, ns_per_op)| PathTiming {
+                name: PATH_NAMES
+                    .into_iter()
+                    .find(|n| n == name)
+                    .unwrap_or_else(|| panic!("baseline path {name} is not measured")),
+                ns_per_op: *ns_per_op,
+            })
+            .collect();
+        assert_eq!(r.paths.len(), PATH_NAMES.len(), "every path is gated");
+        r.calibration_ns = base.calibration_ns;
+        r.calibration_cpu_ns = base.calibration_cpu_ns;
+        r.slope_over_rounds = base.slope;
+        r.par.speedup = base.parallel.speedup;
+        r.par.calibration_speedup = base.parallel.calibration_speedup;
+        assert!(
+            gate(&r, &base, TOLERANCE).is_empty(),
+            "the baseline meets itself"
+        );
+        for i in 0..r.paths.len() {
+            let mut slow = r.clone();
+            slow.paths[i].ns_per_op *= 2.0;
+            let v = gate(&slow, &base, TOLERANCE);
+            assert_eq!(v.len(), 1, "{v:?}");
+            assert!(v[0].starts_with(&format!("{}:", r.paths[i].name)), "{v:?}");
+        }
     }
 
     #[test]

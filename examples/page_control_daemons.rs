@@ -9,7 +9,7 @@
 //! cargo run -p mks-bench --example page_control_daemons
 //! ```
 
-use mks_bench::drivers::{run_parallel, run_sequential};
+use mks_bench::drivers::{run_parallel_metered, run_sequential_metered};
 use mks_vm::{RefTrace, TraceConfig, VmStats};
 
 fn show(name: &str, s: &VmStats, cycles: u64) {
@@ -40,14 +40,14 @@ fn main() {
     );
     println!("memory: 10 primary frames, 24 bulk records, unbounded disk\n");
 
-    let (seq, seq_cycles) = run_sequential(10, 24, &trace, 3);
+    let (seq, seq_cycles, _) = run_sequential_metered(10, 24, &trace, 3);
     show(
         "sequential design (fault handler runs the whole cascade)",
         &seq,
         seq_cycles,
     );
     println!();
-    let (par, par_cycles) = run_parallel(10, 24, &trace, 3, 3);
+    let (par, par_cycles, _) = run_parallel_metered(10, 24, &trace, 3, 3);
     show(
         "parallel design (core freer + bulk freer daemons)",
         &par,

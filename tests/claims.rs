@@ -19,6 +19,7 @@ use std::sync::OnceLock;
 use mks_bench::claims::{claims_json, ClaimResult, ClaimShape, Tally, Verdict};
 use mks_bench::experiments::{all_claims, default_workers, run_all, REGISTRY};
 use mks_kernel::{GateTable, KernelConfig};
+use mks_trace::json::{self, Value};
 
 /// The suite's claims, computed once and shared across tests.
 fn suite() -> &'static [ClaimResult] {
@@ -122,17 +123,31 @@ fn suite_covers_every_experiment_with_unique_claim_ids() {
 fn claims_json_is_complete_and_balanced() {
     let claims = suite();
     let json = claims_json(claims, REGISTRY.len());
-    for c in claims {
-        assert!(
-            json.contains(&format!("\"id\":\"{}\"", c.id)),
-            "claims.json is missing {}",
+    assert!(json.contains("\"schema\": \"mks-claims/1\""));
+    let doc = json::parse(&json).expect("claims.json is well-formed JSON");
+    let int = |v: &Value, key: &str| v.get(key).and_then(Value::as_u64);
+    assert_eq!(int(&doc, "experiments"), Some(REGISTRY.len() as u64));
+    let summary = doc.get("summary").expect("summary object");
+    assert_eq!(int(summary, "claims"), Some(claims.len() as u64));
+    assert_eq!(int(summary, "failed"), Some(0));
+    let parsed = doc
+        .get("claims")
+        .and_then(Value::as_arr)
+        .expect("claims array");
+    assert_eq!(parsed.len(), claims.len());
+    for (c, p) in claims.iter().zip(parsed) {
+        assert_eq!(p.get("id").and_then(Value::as_str), Some(c.id.as_str()));
+        assert_eq!(
+            p.get("measured").and_then(Value::as_f64),
+            Some(c.measured),
+            "{}: measured must round-trip exactly",
             c.id
         );
+        assert_eq!(
+            p.get("verdict").and_then(Value::as_str),
+            Some(c.verdict.tag())
+        );
     }
-    assert!(json.contains("\"schema\": \"mks-claims/1\""));
-    assert!(json.contains("\"failed\": 0"));
-    assert_eq!(json.matches('{').count(), json.matches('}').count());
-    assert_eq!(json.matches('[').count(), json.matches(']').count());
 }
 
 /// The gate censuses are load-bearing constants across EXPERIMENTS.md,
